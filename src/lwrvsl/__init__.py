@@ -26,7 +26,6 @@ from .params import (
 )
 from .riccati import (
     DEFAULT_B_CLAMP,
-    ControlField,
     RiccatiProblem,
     assemble_problem,
     control_field,
@@ -55,7 +54,6 @@ from .solvers import (
     SolverError,
     StepResult,
     apply_boundary,
-    cfl_max_dt,
     godunov_interface_flux,
     step_linear,
     step_nonlinear,
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "KMH_PER_MPS",
     "ConfigError",
-    "ControlField",
     "DEFAULT_B_CLAMP",
     "DensityField",
     "Grid1D",
@@ -83,7 +80,6 @@ __all__ = [
     "TrafficParams",
     "apply_boundary",
     "assemble_problem",
-    "cfl_max_dt",
     "characteristic_speed",
     "control_field",
     "control_field_explicit",

@@ -17,10 +17,9 @@ from .output import (
     write_json,
     write_riccati_artifacts,
     write_run_artifacts,
-    write_total_cars_csv,
     fmt_float,
 )
-from .scenario import REFERENCE_Q0_VALUES, run_simulation, target_cars, time_to_target
+from .scenario import REFERENCE_Q0_VALUES, run_simulation, sweep_q0, target_cars
 from .solvers import SolverError
 from .verify import run_all_checks
 
@@ -83,6 +82,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         scenario = dataclasses.replace(scenario, model=args.model)
     if args.control is not None:
         scenario = dataclasses.replace(scenario, control_enabled=args.control == "on")
+    if args.command == "simulate" and args.q0:
+        scenario = dataclasses.replace(scenario, q0=args.q0[0])
     replacements: dict[str, object] = {"scenario": scenario}
     if args.out is not None:
         replacements["output_dir"] = args.out
@@ -119,57 +120,55 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig, q0_list: list[float]) -> int:
-    """Run one simulation per q0; keep successful members on failure."""
-    if not q0_list:
-        print("sweep needs a non-empty q0 list (--q0, repeatable)", file=sys.stderr)
+    """Run the members through sweep_q0 and write their artifacts.
+
+    Failed members are reported and left out; the others are kept.
+    """
+    try:
+        members, failures = sweep_q0(
+            config.scenario, q0_list, config.output_cadence, config.cfl
+        )
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    members = []
-    failures: dict[str, str] = {}
-    for q0 in q0_list:
-        label = f"{q0:g}"
+    written = []
+    for member in members:
+        label = f"{member.q0:g}"
         try:
-            scenario = dataclasses.replace(config.scenario, q0=q0)
-            history = run_simulation(scenario, config.output_cadence, config.cfl)
             write_run_artifacts(
                 out / f"q0_{label}",
-                scenario,
-                history,
+                dataclasses.replace(config.scenario, q0=member.q0),
+                member.history,
                 config.formats,
                 config.cfl,
                 config.output_cadence,
             )
-            members.append((q0, scenario, history))
-        except (SolverError, ValueError, OSError) as exc:
+            written.append(member)
+        except OSError as exc:
             failures[label] = str(exc)
-            print(f"sweep member q0={label} failed: {exc}", file=sys.stderr)
-    if members:
-        times = members[0][2].times
+    for label, message in failures.items():
+        print(f"sweep member q0={label} failed: {message}", file=sys.stderr)
+    if written:
+        times = written[0].history.times
         if "csv" in config.formats:
             with open(out / "total_cars_sweep.csv", "w", newline="\n") as fh:
-                header = ["t_s"] + [f"total_cars[q0={q0:g}]" for q0, _, _ in members]
+                header = ["t_s"] + [f"total_cars[q0={m.q0:g}]" for m in written]
                 fh.write(",".join(header) + "\n")
                 for i, t in enumerate(times):
                     row = [fmt_float(t)] + [
-                        fmt_float(history.total_cars_series[i]) for _, _, history in members
+                        fmt_float(m.history.total_cars_series[i]) for m in written
                     ]
                     fh.write(",".join(row) + "\n")
         if "json" in config.formats:
-            target = target_cars(config.scenario.params)
             write_json(
                 out / "sweep_summary.json",
                 {
-                    "q0_values": [q0 for q0, _, _ in members],
-                    "target_cars": target,
-                    "final_total_cars": {
-                        f"{q0:g}": float(history.total_cars_series[-1])
-                        for q0, _, history in members
-                    },
-                    "time_to_target_s": {
-                        f"{q0:g}": time_to_target(history, target)
-                        for q0, _, history in members
-                    },
+                    "q0_values": [m.q0 for m in written],
+                    "target_cars": target_cars(config.scenario.params),
+                    "final_total_cars": {f"{m.q0:g}": m.final_total_cars for m in written},
+                    "time_to_target_s": {f"{m.q0:g}": m.time_to_target for m in written},
                     "failures": failures,
                 },
             )
@@ -177,7 +176,7 @@ def cmd_sweep(config: RunConfig, q0_list: list[float]) -> int:
             svg_lineplot(
                 out / "total_cars_sweep.svg",
                 times,
-                [(f"q0={q0:g}", history.total_cars_series) for q0, _, history in members],
+                [(f"q0={m.q0:g}", m.history.total_cars_series) for m in written],
                 title="Total cars on the road section",
                 x_label="t [s]",
                 y_label="total cars",
@@ -185,12 +184,11 @@ def cmd_sweep(config: RunConfig, q0_list: list[float]) -> int:
     return EXIT_SOLVER if failures else EXIT_OK
 
 
-def cmd_riccati(config: RunConfig, q0_values: list[float] | None = None) -> int:
+def cmd_riccati(config: RunConfig, q0_values: list[float]) -> int:
     """Emit Phi(z) and K0(z) for one or more q0 values."""
-    chosen = q0_values if q0_values else [config.scenario.q0]
     try:
         written = write_riccati_artifacts(
-            config.output_dir, config.scenario, chosen, config.formats
+            config.output_dir, config.scenario, q0_values, config.formats
         )
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -221,13 +219,10 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_verify()
     try:
         config = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     q0_list = args.q0 or []
@@ -235,18 +230,11 @@ def main(argv: list[str] | None = None) -> int:
         if len(q0_list) > 1:
             print("simulate takes at most one --q0", file=sys.stderr)
             return EXIT_USAGE
-        if q0_list:
-            try:
-                scenario = dataclasses.replace(config.scenario, q0=q0_list[0])
-            except ValueError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            config = dataclasses.replace(config, scenario=scenario)
         return cmd_simulate(config)
     if args.command == "sweep":
         return cmd_sweep(config, q0_list or list(REFERENCE_Q0_VALUES))
     if args.command == "riccati":
-        return cmd_riccati(config, q0_list or None)
+        return cmd_riccati(config, q0_list or [config.scenario.q0])
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

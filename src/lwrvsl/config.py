@@ -14,7 +14,21 @@ from dataclasses import dataclass
 import yaml
 
 from .params import make_grid, params_from_paper_units
-from .scenario import MODELS, Scenario
+from .riccati import DEFAULT_B_CLAMP
+from .scenario import (
+    MODELS,
+    REFERENCE_BC_OSC_AMPLITUDE,
+    REFERENCE_BC_OSC_PERIOD,
+    REFERENCE_CADENCE,
+    REFERENCE_CFL,
+    REFERENCE_IC_AMPLITUDE,
+    REFERENCE_N_CELLS,
+    REFERENCE_PARAMS,
+    REFERENCE_Q0,
+    REFERENCE_R0,
+    Scenario,
+    boundary_ramp,
+)
 
 FORMATS = ("csv", "json", "svg")
 
@@ -43,37 +57,30 @@ class RunConfig:
 
 
 _SCHEMA: dict[str, dict[str, object]] = {
-    "params": {
-        "rho_max_per_km": 160.0,
-        "u_max_kph": 115.0,
-        "rho_0_per_km": 50.0,
-        "b_0": 1.0,
-        "road_length_m": 2000.0,
-        "sim_time_s": 120.0,
-    },
+    "params": dict(REFERENCE_PARAMS),
     "scenario": {
         "model": "linear",
-        "ic_amplitude_per_km": 10.0,
-        "bc_osc_amplitude_per_km": 5.0,
-        "bc_osc_period_s": 20.0,
+        "ic_amplitude_per_km": REFERENCE_IC_AMPLITUDE,
+        "bc_osc_amplitude_per_km": REFERENCE_BC_OSC_AMPLITUDE,
+        "bc_osc_period_s": REFERENCE_BC_OSC_PERIOD,
         "bc_reading": "km",
         "bc_decay_rate_per_s": None,
         "bc_growth_rate_per_km_s": None,
     },
     "control": {
         "enabled": True,
-        "q0": 5e-5,
-        "r0": 1.0,
-        "b_min": 0.1,
-        "b_max": 2.0,
+        "q0": REFERENCE_Q0,
+        "r0": REFERENCE_R0,
+        "b_min": DEFAULT_B_CLAMP[0],
+        "b_max": DEFAULT_B_CLAMP[1],
     },
     "numerics": {
-        "n_cells": 400,
-        "cfl": 0.9,
+        "n_cells": REFERENCE_N_CELLS,
+        "cfl": REFERENCE_CFL,
     },
     "output": {
         "dir": "out",
-        "cadence_s": 0.5,
+        "cadence_s": REFERENCE_CADENCE,
         "formats": list(FORMATS),
     },
 }
@@ -146,12 +153,7 @@ def parse_config(text: str) -> RunConfig:
     par = merged["params"]
     try:
         params = params_from_paper_units(
-            _number("params", "rho_max_per_km", par["rho_max_per_km"]),
-            _number("params", "u_max_kph", par["u_max_kph"]),
-            _number("params", "rho_0_per_km", par["rho_0_per_km"]),
-            _number("params", "road_length_m", par["road_length_m"]),
-            _number("params", "sim_time_s", par["sim_time_s"]),
-            _number("params", "b_0", par["b_0"]),
+            **{key: _number("params", key, value) for key, value in par.items()}
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -166,26 +168,15 @@ def parse_config(text: str) -> RunConfig:
 
     scn = merged["scenario"]
     reading = _choice("scenario", "bc_reading", scn["bc_reading"], ("km", "m"))
-    length_scale = params.road_length / 1000.0 if reading == "km" else params.road_length
-    decay = scn["bc_decay_rate_per_s"]
-    growth = scn["bc_growth_rate_per_km_s"]
-    bc_decay_rate = (
-        length_scale * 1e-6
-        if decay is None
-        else _number("scenario", "bc_decay_rate_per_s", decay)
-    )
-    bc_growth_rate = (
-        1.0 / (4.0 * length_scale)
-        if growth is None
-        else _number("scenario", "bc_growth_rate_per_km_s", growth)
-    )
+    bc_decay_rate, bc_growth_rate = boundary_ramp(reading, params.road_length)
+    if scn["bc_decay_rate_per_s"] is not None:
+        bc_decay_rate = _number("scenario", "bc_decay_rate_per_s", scn["bc_decay_rate_per_s"])
+    if scn["bc_growth_rate_per_km_s"] is not None:
+        bc_growth_rate = _number(
+            "scenario", "bc_growth_rate_per_km_s", scn["bc_growth_rate_per_km_s"]
+        )
 
     ctl = merged["control"]
-    r0 = _number("control", "r0", ctl["r0"])
-    if r0 != 1.0:
-        raise ConfigError(
-            "control.r0 must be 1.0: the closed-form feedback is derived for this weight"
-        )
     try:
         scenario = Scenario(
             params=params,
@@ -198,7 +189,7 @@ def parse_config(text: str) -> RunConfig:
                 "scenario", "bc_osc_amplitude_per_km", scn["bc_osc_amplitude_per_km"]
             ),
             bc_osc_period=_number("scenario", "bc_osc_period_s", scn["bc_osc_period_s"]),
-            r0=r0,
+            r0=_number("control", "r0", ctl["r0"]),
             control_enabled=_flag("control", "enabled", ctl["enabled"]),
             model=_choice("scenario", "model", scn["model"], MODELS),
             clamp=(

@@ -10,6 +10,7 @@ output is self-contained with a fixed 64-step colormap.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -17,7 +18,13 @@ import numpy as np
 
 from .params import KMH_PER_MPS, M_PER_KM
 from .riccati import assemble_problem, feedback_gain, phi_closed_form
-from .scenario import Scenario, SimulationHistory, target_cars, time_to_target
+from .scenario import (
+    Scenario,
+    SimulationHistory,
+    mass_balance_defect,
+    target_cars,
+    time_to_target,
+)
 from .solvers import to_absolute
 
 _COLORMAP_ANCHORS = (
@@ -129,16 +136,12 @@ def run_summary(
         "time_to_target_s": time_to_target(history, target),
     }
     if scenario.model == "nonlinear":
-        defect = (
-            history.total_cars_series[-1]
-            - history.total_cars_series[0]
-            - (history.inflow_cars - history.outflow_cars)
-        )
+        defect, relative = mass_balance_defect(history)
         summary["mass_balance"] = {
             "inflow_cars": history.inflow_cars,
             "outflow_cars": history.outflow_cars,
-            "defect_cars": float(defect),
-            "defect_relative": float(abs(defect) / history.total_cars_series[0]),
+            "defect_cars": defect,
+            "defect_relative": relative,
         }
     return summary
 
@@ -308,6 +311,28 @@ def svg_lineplot(
         fh.write("\n".join(parts) + "\n")
 
 
+@contextlib.contextmanager
+def _artifact_set(out_dir: Path | str):
+    """Yield (written, reserve): reserve(name) adds out_dir/name to written.
+
+    out_dir is created first; on failure every reserved file is removed.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+
+    def reserve(name: str) -> Path:
+        written.append(out / name)
+        return written[-1]
+
+    try:
+        yield written, reserve
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def write_run_artifacts(
     out_dir: Path | str,
     scenario: Scenario,
@@ -317,8 +342,6 @@ def write_run_artifacts(
     cadence: float,
 ) -> list[Path]:
     """Write the per-run file set; on failure remove partial files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     p = scenario.params
     grid = scenario.grid
     density = np.stack(
@@ -328,14 +351,7 @@ def write_run_artifacts(
     vsl = np.stack(history.vsl_frames)
     control = np.stack(history.control_frames)
 
-    written: list[Path] = []
-
-    def reserve(name: str) -> Path:
-        path = out / name
-        written.append(path)
-        return path
-
-    try:
+    with _artifact_set(out_dir) as (written, reserve):
         if "csv" in formats:
             write_wide_csv(
                 reserve("density.csv"), "t_s/density_cars_per_km", "z_m=",
@@ -371,10 +387,6 @@ def write_run_artifacts(
                 reserve("vsl.svg"), history.times, grid.interfaces, vsl,
                 title="VSL rate b", value_label="-",
             )
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
     return written
 
 
@@ -385,22 +397,13 @@ def write_riccati_artifacts(
     formats: tuple[str, ...],
 ) -> list[Path]:
     """Phi and gain profiles per q0: CSV columns, JSON endpoints, SVG curves."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     z = scenario.grid.interfaces
     profiles = []
     for q0 in q0_values:
         problem = assemble_problem(scenario.params, q0, scenario.r0)
         profiles.append((q0, phi_closed_form(z, problem), feedback_gain(z, problem)))
 
-    written: list[Path] = []
-
-    def reserve(name: str) -> Path:
-        path = out / name
-        written.append(path)
-        return path
-
-    try:
+    with _artifact_set(out_dir) as (written, reserve):
         if "csv" in formats:
             with open(reserve("riccati.csv"), "w", newline="\n") as fh:
                 header = ["z_m"]
@@ -433,8 +436,4 @@ def write_riccati_artifacts(
                 [(f"q0={q0:.6g}", gain) for q0, _, gain in profiles],
                 title="Feedback gain K0(z)", x_label="z [m]", y_label="K0 [1/m]",
             )
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
     return written

@@ -11,10 +11,10 @@ reduces, for this scalar plant, to the Riccati boundary-value problem
 
     V dPhi/dz = Q0 - B0^2 Phi^2 / R0,   Phi(L) = 0,
 
-whose solution for R0 = 1 is
+whose solution is
 
-    Phi(z) = sqrt(Q0) (E - 1) / (B0 (E + 1)),
-    E      = exp(2 B0 sqrt(Q0) (z - L) / V),
+    Phi(z) = sqrt(Q0 R0) (E - 1) / (B0 (E + 1)),
+    E      = exp(2 B0 sqrt(Q0 / R0) (z - L) / V),
 
 with the feedback u_opt(z) = K0(z) drho(z), K0 = -B0 Phi / R0. A
 fixed-step RK4 integrator of the same boundary-value problem is kept as
@@ -37,17 +37,10 @@ DEFAULT_B_CLAMP = (0.1, 2.0)
 
 @dataclass(frozen=True)
 class RiccatiProblem:
-    """Scalar coefficients of the LQ problem on [0, length].
-
-    m_coef and c0_coef are fixed at 0 and 1 for this plant (no reaction
-    term, full-state measurement) and kept as fields so the cost and
-    dynamics coefficients travel together.
-    """
+    """Scalar coefficients of the LQ problem on [0, length]."""
 
     v_coef: float
-    m_coef: float
     b0_coef: float
-    c0_coef: float
     q0: float
     r0: float
     length: float
@@ -55,39 +48,14 @@ class RiccatiProblem:
     def __post_init__(self) -> None:
         if not self.v_coef < 0.0:
             raise ValueError("v_coef must be negative (transport toward z = L)")
-        if self.m_coef != 0.0:
-            raise ValueError("m_coef must be 0 for the traffic plant")
         if self.b0_coef > 0.0:
             raise ValueError("b0_coef must be non-positive for the traffic plant")
-        if self.c0_coef != 1.0:
-            raise ValueError("c0_coef must be 1 (full-state measurement)")
         if self.q0 < 0.0:
             raise ValueError("q0 must be non-negative")
         if self.r0 <= 0.0:
             raise ValueError("r0 must be positive")
         if self.length <= 0.0:
             raise ValueError("length must be positive")
-
-
-@dataclass(frozen=True)
-class ControlField:
-    """Per-interface control u = db/dz and the integrated VSL profile b."""
-
-    dbdz: np.ndarray
-    b_profile: np.ndarray
-    timestamp: float
-
-    def __post_init__(self) -> None:
-        dbdz = np.array(self.dbdz, dtype=float)
-        b_profile = np.array(self.b_profile, dtype=float)
-        if dbdz.ndim != 1 or b_profile.shape != dbdz.shape:
-            raise ValueError("dbdz and b_profile must be 1-D arrays of equal length")
-        if self.timestamp < 0:
-            raise ValueError("timestamp must be non-negative")
-        dbdz.setflags(write=False)
-        b_profile.setflags(write=False)
-        object.__setattr__(self, "dbdz", dbdz)
-        object.__setattr__(self, "b_profile", b_profile)
 
 
 def assemble_problem(params: TrafficParams, q0: float, r0: float = 1.0) -> RiccatiProblem:
@@ -102,9 +70,7 @@ def assemble_problem(params: TrafficParams, q0: float, r0: float = 1.0) -> Ricca
     b0_coef = -flux(params.rho_0, 1.0, params)
     return RiccatiProblem(
         v_coef=v_coef,
-        m_coef=0.0,
         b0_coef=b0_coef,
-        c0_coef=1.0,
         q0=q0,
         r0=r0,
         length=params.road_length,
@@ -125,18 +91,12 @@ def phi_closed_form(z: np.ndarray | float, problem: RiccatiProblem) -> np.ndarra
     """
     z_arr = np.asarray(z, dtype=float)
     _check_positions(z_arr, problem.length)
-    if problem.r0 != 1.0:
-        raise ValueError(
-            "closed form is derived for r0 = 1; use phi_numeric_oracle for other weights"
-        )
-    root_q0 = math.sqrt(problem.q0)
     if problem.b0_coef == 0.0:
         phi = problem.q0 * (problem.length - z_arr) / abs(problem.v_coef)
     else:
-        e = np.exp(
-            2.0 * problem.b0_coef * root_q0 * (z_arr - problem.length) / problem.v_coef
-        )
-        phi = root_q0 * (1.0 - e) / (-problem.b0_coef * (e + 1.0))
+        rate = 2.0 * problem.b0_coef * math.sqrt(problem.q0 / problem.r0)
+        e = np.exp(rate * (z_arr - problem.length) / problem.v_coef)
+        phi = math.sqrt(problem.q0 * problem.r0) * (1.0 - e) / (-problem.b0_coef * (e + 1.0))
     if np.ndim(z) == 0:
         return float(phi)
     return phi
@@ -208,22 +168,20 @@ def control_field_explicit(
 ) -> np.ndarray:
     """Per-interface control from the explicit feedback expression.
 
-    Evaluates u_opt = -sqrt(Q0) (E - 1)/(E + 1) drho directly, without
-    composing feedback_gain with phi_closed_form; kept as a second,
-    independent code path for cross-checking.
+    Evaluates u_opt = -sqrt(Q0 / R0) (E - 1)/(E + 1) drho directly,
+    without composing feedback_gain with phi_closed_form; kept as a
+    second, independent code path for cross-checking.
     """
     state = _interface_state(delta_rho, problem, grid)
-    if problem.r0 != 1.0:
-        raise ValueError("explicit feedback expression is derived for r0 = 1")
-    root_q0 = math.sqrt(problem.q0)
+    root_ratio = math.sqrt(problem.q0 / problem.r0)
     e = np.exp(
         2.0
         * problem.b0_coef
-        * root_q0
+        * root_ratio
         * (grid.interfaces - problem.length)
         / problem.v_coef
     )
-    return root_q0 * (1.0 - e) / (e + 1.0) * state
+    return root_ratio * (1.0 - e) / (e + 1.0) * state
 
 
 def integrate_vsl(
@@ -231,13 +189,13 @@ def integrate_vsl(
     b0: float,
     grid: Grid1D,
     clamp: tuple[float, float] = DEFAULT_B_CLAMP,
-    timestamp: float = 0.0,
-) -> ControlField:
+) -> np.ndarray:
     """Integrate u = db/dz into a speed-limit profile anchored at b(0) = b0.
 
     Trapezoidal cumulative integral over the interfaces, then an
     elementwise clamp to [b_min, b_max]. Zero control therefore
-    reproduces the uncontrolled profile b = b0 exactly.
+    reproduces the uncontrolled profile b = b0 exactly. The returned
+    per-interface profile is read-only.
     """
     u = np.asarray(u_opt, dtype=float)
     if u.size != grid.n_cells + 1:
@@ -248,4 +206,5 @@ def integrate_vsl(
     increments = 0.5 * grid.dz * (u[:-1] + u[1:])
     profile = b0 + np.concatenate(([0.0], np.cumsum(increments)))
     profile = np.clip(profile, b_min, b_max)
-    return ControlField(dbdz=u, b_profile=profile, timestamp=timestamp)
+    profile.setflags(write=False)
+    return profile

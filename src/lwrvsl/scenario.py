@@ -34,13 +34,25 @@ from .solvers import (
 
 MODELS = ("linear", "nonlinear")
 
-# Reference parameters as quoted: densities in cars/km, speed in km/h.
-REFERENCE_RHO_MAX = 160.0
-REFERENCE_U_MAX = 115.0
-REFERENCE_RHO_0 = 50.0
-REFERENCE_ROAD_LENGTH = 2000.0
-REFERENCE_SIM_TIME = 120.0
-REFERENCE_B_0 = 1.0
+# The reference setup, each value written once: reference_scenario, the
+# run defaults and the config schema all read it. REFERENCE_PARAMS holds
+# the params_from_paper_units arguments (cars/km, km/h, m, s).
+REFERENCE_PARAMS = {
+    "rho_max_per_km": 160.0,
+    "u_max_kph": 115.0,
+    "rho_0_per_km": 50.0,
+    "road_length_m": 2000.0,
+    "sim_time_s": 120.0,
+    "b_0": 1.0,
+}
+REFERENCE_IC_AMPLITUDE = 10.0  # cars/km
+REFERENCE_BC_OSC_AMPLITUDE = 5.0  # cars/km
+REFERENCE_BC_OSC_PERIOD = 20.0  # s
+REFERENCE_Q0 = 5e-5
+REFERENCE_R0 = 1.0
+REFERENCE_N_CELLS = 400
+REFERENCE_CFL = 0.9
+REFERENCE_CADENCE = 0.5  # s
 REFERENCE_Q0_VALUES = (1e-6, 1e-5, 5e-5, 5e-4)
 
 
@@ -58,13 +70,13 @@ class Scenario:
     q0: float
     bc_decay_rate: float  # 1/s
     bc_growth_rate: float  # cars/km per s
-    ic_amplitude: float = 10.0  # cars/km
-    bc_osc_amplitude: float = 5.0  # cars/km
-    bc_osc_period: float = 20.0  # s
-    r0: float = 1.0
-    control_enabled: bool = True
-    model: str = "linear"
-    clamp: tuple[float, float] = DEFAULT_B_CLAMP
+    ic_amplitude: float  # cars/km
+    bc_osc_amplitude: float  # cars/km
+    bc_osc_period: float  # s
+    r0: float
+    control_enabled: bool
+    model: str
+    clamp: tuple[float, float]
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -149,49 +161,55 @@ class SweepResult:
     time_to_target: float | None
 
 
+def boundary_ramp(
+    bc_reading: str, road_length: float, scale: float = 1.0
+) -> tuple[float, float]:
+    """Decay rate (1/s) and growth rate (cars/km per s) of the upstream ramp.
+
+    bc_reading selects how the ramp coefficients read the road length:
+    "km" gives decay L_km * 1e-6 and growth scale/(4 L_km) cars/km/s
+    (the reference, which produces the rising upstream density), "m"
+    uses the length in meters, making both terms negligible over the run.
+    """
+    if bc_reading == "km":
+        length_scale = road_length / M_PER_KM
+    elif bc_reading == "m":
+        length_scale = road_length
+    else:
+        raise ValueError(f"bc_reading must be 'km' or 'm', got {bc_reading!r}")
+    return length_scale * 1e-6, scale / (4.0 * length_scale)
+
+
 def reference_scenario(
     *,
     model: str = "linear",
-    q0: float = 5e-5,
+    q0: float = REFERENCE_Q0,
     control_enabled: bool = True,
-    n_cells: int = 400,
+    n_cells: int = REFERENCE_N_CELLS,
     bc_reading: str = "km",
     amplitude_scale: float = 1.0,
-    sim_time: float = REFERENCE_SIM_TIME,
-    clamp: tuple[float, float] = DEFAULT_B_CLAMP,
-    r0: float = 1.0,
+    sim_time: float = REFERENCE_PARAMS["sim_time_s"],
 ) -> Scenario:
     """Build the reference scenario with the tabulated parameters.
 
-    bc_reading selects how the boundary ramp coefficients read the road
-    length: "km" gives decay L_km * 1e-6 and growth 1/(4 L_km) cars/km/s
-    (the default, which produces the rising upstream density), "m" uses
-    the length in meters, making both terms negligible over the run.
-    amplitude_scale multiplies every perturbation amplitude, for
-    linearization studies.
+    bc_reading is passed to boundary_ramp. amplitude_scale multiplies
+    every perturbation amplitude, for linearization studies.
     """
-    params = params_from_paper_units(
-        REFERENCE_RHO_MAX, REFERENCE_U_MAX, REFERENCE_RHO_0, REFERENCE_ROAD_LENGTH, sim_time, REFERENCE_B_0
-    )
-    grid = make_grid(params.road_length, n_cells)
-    if bc_reading == "km":
-        length_scale = params.road_length / 1000.0
-    elif bc_reading == "m":
-        length_scale = params.road_length
-    else:
-        raise ValueError(f"bc_reading must be 'km' or 'm', got {bc_reading!r}")
+    params = params_from_paper_units(**{**REFERENCE_PARAMS, "sim_time_s": sim_time})
+    decay, growth = boundary_ramp(bc_reading, params.road_length, amplitude_scale)
     return Scenario(
         params=params,
-        grid=grid,
+        grid=make_grid(params.road_length, n_cells),
         q0=q0,
-        bc_decay_rate=length_scale * 1e-6,
-        bc_growth_rate=amplitude_scale / (4.0 * length_scale),
-        ic_amplitude=10.0 * amplitude_scale,
-        bc_osc_amplitude=5.0 * amplitude_scale,
-        r0=r0,
+        bc_decay_rate=decay,
+        bc_growth_rate=growth,
+        ic_amplitude=REFERENCE_IC_AMPLITUDE * amplitude_scale,
+        bc_osc_amplitude=REFERENCE_BC_OSC_AMPLITUDE * amplitude_scale,
+        bc_osc_period=REFERENCE_BC_OSC_PERIOD,
+        r0=REFERENCE_R0,
         control_enabled=control_enabled,
         model=model,
-        clamp=clamp,
+        clamp=DEFAULT_B_CLAMP,
     )
 
 
@@ -262,8 +280,20 @@ def time_to_target(history: SimulationHistory, target: float, tolerance: float =
     return float(history.times[last_bad + 1])
 
 
+def mass_balance_defect(history: SimulationHistory) -> tuple[float, float]:
+    """Car-count change minus net boundary inflow: (cars, relative to the start).
+
+    The conservative nonlinear plant closes this to round-off.
+    """
+    totals = history.total_cars_series
+    defect = totals[-1] - totals[0] - (history.inflow_cars - history.outflow_cars)
+    return float(defect), float(abs(defect) / totals[0])
+
+
 def run_simulation(
-    scenario: Scenario, frame_interval: float = 0.5, cfl: float = 0.9
+    scenario: Scenario,
+    frame_interval: float = REFERENCE_CADENCE,
+    cfl: float = REFERENCE_CFL,
 ) -> SimulationHistory:
     """Advance the chosen plant over [0, T] under quasi-static feedback.
 
@@ -304,8 +334,7 @@ def run_simulation(
             else DensityField(field.values - p.rho_0, "perturbation", field.time)
         )
         u_opt = control_field(delta, problem, grid)
-        vsl = integrate_vsl(u_opt, p.b_0, grid, scenario.clamp, timestamp=field.time)
-        return u_opt, vsl.b_profile
+        return u_opt, integrate_vsl(u_opt, p.b_0, grid, scenario.clamp)
 
     times: list[float] = []
     density_frames: list[DensityField] = []
@@ -368,31 +397,36 @@ def run_simulation(
 def sweep_q0(
     scenario: Scenario,
     q0_list: list[float],
-    frame_interval: float = 0.5,
-    cfl: float = 0.9,
-) -> list[SweepResult]:
+    frame_interval: float = REFERENCE_CADENCE,
+    cfl: float = REFERENCE_CFL,
+) -> tuple[list[SweepResult], dict[str, str]]:
     """Run one simulation per q0, identical otherwise.
 
-    Failures propagate tagged with the offending q0. Summaries carry the
-    final car count and the time after which the count stays within 5%
-    of the target.
+    Every q0 is checked before any run starts; a bad one raises
+    ValueError. A member whose run raises SolverError or ValueError is
+    recorded under f"{q0:g}" with its message, and the other members run
+    as before. Returns the members that ran, each with its final car
+    count and the time after which the count stays within 5% of the
+    target, and the failures.
     """
     if len(q0_list) == 0:
-        raise ValueError("q0_list must be non-empty")
+        raise ValueError("sweep needs a non-empty q0 list")
+    members = [dataclasses.replace(scenario, q0=q0) for q0 in q0_list]
     target = target_cars(scenario.params)
     results = []
-    for q0 in q0_list:
+    failures: dict[str, str] = {}
+    for member in members:
         try:
-            member = dataclasses.replace(scenario, q0=q0)
             history = run_simulation(member, frame_interval, cfl)
-        except Exception as exc:
-            raise SolverError(f"sweep member q0={q0} failed: {exc}") from exc
+        except (SolverError, ValueError) as exc:
+            failures[f"{member.q0:g}"] = str(exc)
+            continue
         results.append(
             SweepResult(
-                q0=q0,
+                q0=member.q0,
                 history=history,
                 final_total_cars=float(history.total_cars_series[-1]),
                 time_to_target=time_to_target(history, target),
             )
         )
-    return results
+    return results, failures

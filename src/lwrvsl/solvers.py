@@ -69,7 +69,6 @@ class StepResult:
     """One explicit update: the new field plus the interface fluxes used."""
 
     field: DensityField
-    dt_used: float
     interface_fluxes: np.ndarray
 
     def __post_init__(self) -> None:
@@ -91,15 +90,12 @@ def apply_boundary(
     field: DensityField,
     upstream_value: float,
     params: TrafficParams,
-    downstream_policy: str = "zero_gradient",
 ) -> DensityField:
     """Attach ghost cells: Dirichlet upstream, zero-gradient downstream.
 
     upstream_value is an absolute density; for perturbation fields it is
     converted to a perturbation by subtracting rho_0.
     """
-    if downstream_policy != "zero_gradient":
-        raise ValueError(f"unknown downstream policy {downstream_policy!r}")
     if not 0.0 <= upstream_value <= params.rho_max:
         raise SolverError(
             f"upstream boundary density {upstream_value} outside [0, {params.rho_max}]"
@@ -110,41 +106,6 @@ def apply_boundary(
     return dataclasses.replace(
         field, ghost_upstream=ghost_up, ghost_downstream=float(field.values[-1])
     )
-
-
-def cfl_max_dt(
-    field: DensityField,
-    b_profile: np.ndarray,
-    grid: Grid1D,
-    params: TrafficParams,
-    cfl_number: float,
-) -> float:
-    """Largest stable explicit step: cfl * dz / max wave speed.
-
-    For a perturbation field the wave speed is the frozen-coefficient
-    advection speed b * u_max * (1 - 2 rho_0/rho_max) at the largest b in
-    the profile. For an absolute field it is the largest characteristic
-    speed over the cells (and ghosts, when set). A degenerate all-zero
-    wave speed returns the remaining simulation time.
-    """
-    if not 0.0 < cfl_number <= 1.0:
-        raise ValueError("cfl_number must lie in (0, 1]")
-    b = np.asarray(b_profile, dtype=float)
-    if b.size != grid.n_cells + 1:
-        raise ValueError("b_profile must have one value per grid interface")
-    if field.kind == "perturbation":
-        wave = params.u_max * (1.0 - 2.0 * params.rho_0 / params.rho_max) * np.max(b)
-    else:
-        b_adjacent = np.maximum(b[:-1], b[1:])
-        speeds = [np.abs(characteristic_speed(field.values, b_adjacent, params))]
-        if field.ghost_upstream is not None:
-            speeds.append(np.abs(characteristic_speed(field.ghost_upstream, b[0], params)))
-        if field.ghost_downstream is not None:
-            speeds.append(np.abs(characteristic_speed(field.ghost_downstream, b[-1], params)))
-        wave = max(np.max(s) for s in speeds)
-    if wave <= 0.0:
-        return max(params.sim_time - field.time, 0.0)
-    return cfl_number * grid.dz / float(wave)
 
 
 def _check_step_inputs(field: DensityField, kind: str, grid: Grid1D, dt: float) -> None:
@@ -193,7 +154,7 @@ def step_linear(
         field.values - (dt / grid.dz) * (fluxes[1:] - fluxes[:-1]) + dt * source
     )
     new_field = DensityField(new_values, "perturbation", field.time + dt)
-    return StepResult(new_field, dt, fluxes)
+    return StepResult(new_field, fluxes)
 
 
 def godunov_interface_flux(
@@ -252,4 +213,4 @@ def step_nonlinear(
         )
     new_values = np.clip(new_values, 0.0, params.rho_max)
     new_field = DensityField(new_values, "absolute", field.time + dt)
-    return StepResult(new_field, dt, fluxes)
+    return StepResult(new_field, fluxes)

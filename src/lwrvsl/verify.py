@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundamental import characteristic_speed
-from .params import TrafficParams, make_grid, params_from_paper_units
+from .params import TrafficParams, make_grid
 from .riccati import RiccatiProblem, assemble_problem, phi_closed_form, phi_numeric_oracle
 from .scenario import (
+    REFERENCE_Q0,
     REFERENCE_Q0_VALUES,
+    mass_balance_defect,
     reference_scenario,
     run_simulation,
 )
@@ -48,17 +50,13 @@ class CheckResult:
     detail: str = ""
 
 
-def _reference_params(sim_time: float) -> TrafficParams:
-    return params_from_paper_units(160.0, 115.0, 50.0, 2000.0, sim_time, 1.0)
+def default_problem() -> RiccatiProblem:
+    return assemble_problem(reference_scenario().params, REFERENCE_Q0)
 
 
-def default_problem(q0: float = 5e-5) -> RiccatiProblem:
-    return assemble_problem(_reference_params(120.0), q0)
-
-
-def check_phi_boundary(problem: RiccatiProblem | None = None) -> CheckResult:
+def check_phi_boundary() -> CheckResult:
     """Phi(L) must be exactly zero (bit-exact vanishing numerator)."""
-    problem = problem or default_problem()
+    problem = default_problem()
     value = phi_closed_form(problem.length, problem)
     return CheckResult(
         name="riccati-boundary",
@@ -68,19 +66,15 @@ def check_phi_boundary(problem: RiccatiProblem | None = None) -> CheckResult:
     )
 
 
-def check_riccati_residual(
-    problem: RiccatiProblem | None = None,
-    phi_fn=None,
-    n_points: int = 10_000,
-) -> CheckResult:
+def check_riccati_residual(phi_fn=None) -> CheckResult:
     """ODE residual of the closed form from 4th-order central differences.
 
     phi_fn defaults to phi_closed_form and is injectable so corrupted
     profiles can be shown to fail the check.
     """
-    problem = problem or default_problem()
+    problem = default_problem()
     phi_fn = phi_fn or phi_closed_form
-    z = np.linspace(0.0, problem.length, n_points)
+    z = np.linspace(0.0, problem.length, 10_000)
     h = z[1] - z[0]
     phi = np.asarray(phi_fn(z, problem))
     dphi = (-phi[4:] + 8.0 * phi[3:-1] - 8.0 * phi[1:-3] + phi[:-4]) / (12.0 * h)
@@ -98,17 +92,14 @@ def check_riccati_residual(
     )
 
 
-def check_oracle_equivalence(
-    q0_values: tuple[float, ...] = REFERENCE_Q0_VALUES,
-    n_steps: int = 100_000,
-) -> CheckResult:
+def check_oracle_equivalence() -> CheckResult:
     """Closed form vs fixed-step RK4 backward integration, sup-norm relative."""
-    params = _reference_params(120.0)
+    params = reference_scenario().params
     worst = 0.0
     details = []
-    for q0 in q0_values:
+    for q0 in REFERENCE_Q0_VALUES:
         problem = assemble_problem(params, q0)
-        z, phi_oracle = phi_numeric_oracle(problem, n_steps)
+        z, phi_oracle = phi_numeric_oracle(problem, 100_000)
         phi = phi_closed_form(z, problem)
         error = float(np.max(np.abs(phi - phi_oracle)) / np.max(phi))
         details.append(f"q0={q0:g}: {error:.3e}")
@@ -124,14 +115,8 @@ def check_oracle_equivalence(
 
 def check_conservation() -> CheckResult:
     """Mass balance of the closed-loop nonlinear reference run."""
-    scenario = reference_scenario(model="nonlinear", q0=5e-5, control_enabled=True)
-    history = run_simulation(scenario)
-    defect = (
-        history.total_cars_series[-1]
-        - history.total_cars_series[0]
-        - (history.inflow_cars - history.outflow_cars)
-    )
-    measured = float(abs(defect) / history.total_cars_series[0])
+    history = run_simulation(reference_scenario(model="nonlinear"))
+    _, measured = mass_balance_defect(history)
     return CheckResult(
         name="conservation",
         passed=measured < CONSERVATION_BOUND,
@@ -168,7 +153,7 @@ def linear_convergence_l1_errors(
     Zero boundary perturbation; the exact solution is the bump advected
     at the frozen speed |V|.
     """
-    params = _reference_params(final_time)
+    params = reference_scenario(sim_time=final_time).params
     speed = characteristic_speed(params.rho_0, params.b_0, params)
     errors = []
     for n_cells in n_cells_list:
@@ -214,7 +199,7 @@ def nonlinear_convergence_l1_errors(
     cfl: float = 0.5,
 ) -> list[float]:
     """L1 errors of the Godunov solver against the characteristics oracle."""
-    params = _reference_params(final_time)
+    params = reference_scenario(sim_time=final_time).params
     wave_bound = characteristic_speed(params.rho_0, params.b_0, params)
     errors = []
     for n_cells in n_cells_list:

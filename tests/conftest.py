@@ -1,4 +1,4 @@
-"""Shared fixtures: reference parameters and the full-length reference runs.
+"""Shared fixtures: the full-length reference runs.
 
 The sweep and baseline fixtures are session-scoped because each one holds
 four (or one) complete 120 s simulations at the default 400-cell grid;
@@ -9,32 +9,26 @@ import pytest
 
 from lwrvsl import (
     REFERENCE_Q0_VALUES,
-    make_grid,
     reference_scenario,
-    params_from_paper_units,
     run_simulation,
     sweep_q0,
 )
 
 
-@pytest.fixture(scope="session")
-def reference_params():
-    return params_from_paper_units(160.0, 115.0, 50.0, 2000.0, 120.0, 1.0)
-
-
-@pytest.fixture(scope="session")
-def reference_grid():
-    return make_grid(2000.0, 400)
+def _reference_sweep(model):
+    members, failures = sweep_q0(reference_scenario(model=model), list(REFERENCE_Q0_VALUES))
+    assert failures == {}
+    return members
 
 
 @pytest.fixture(scope="session")
 def linear_sweep():
-    return sweep_q0(reference_scenario(model="linear"), list(REFERENCE_Q0_VALUES))
+    return _reference_sweep("linear")
 
 
 @pytest.fixture(scope="session")
 def nonlinear_sweep():
-    return sweep_q0(reference_scenario(model="nonlinear"), list(REFERENCE_Q0_VALUES))
+    return _reference_sweep("nonlinear")
 
 
 @pytest.fixture(scope="session")

@@ -46,6 +46,14 @@ class TestUsageErrors:
             main(["-h"])
         assert excinfo.value.code == 0
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "riccati"])
+    def test_bad_q0_is_config_error(self, command, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(config_file), "--out", str(out), "--q0", "-1"])
+        assert rc == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1
         assert "cannot read config" in capsys.readouterr().err
@@ -112,6 +120,14 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["q0"] == 0.0005
 
+    def test_non_unit_r0_recorded(self, tmp_path):
+        path = tmp_path / "weighted.yaml"
+        path.write_text(TINY_CONFIG + "control:\n  r0: 4.0\n")
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out), "--formats", "json"])
+        assert rc == 0
+        assert json.loads((out / "summary.json").read_text())["r0"] == 4.0
+
     def test_solver_abort_exit_code(self, tmp_path, capsys):
         path = tmp_path / "unstable.yaml"
         path.write_text(TINY_CONFIG + "control:\n  q0: 1000.0\n")
@@ -177,15 +193,16 @@ class TestSweep:
                 "--q0",
                 "5e-5",
                 "--q0",
-                "-1",
+                "1000",
             ]
         )
         assert rc == 2
-        assert "sweep member q0=-1 failed" in capsys.readouterr().err
+        assert "sweep member q0=1000 failed" in capsys.readouterr().err
         assert (out / "q0_5e-05").is_dir()
+        assert not (out / "q0_1000").exists()
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["q0_values"] == [5e-5]
-        assert list(summary["failures"]) == ["-1"]
+        assert list(summary["failures"]) == ["1000"]
 
     def test_empty_member_list_is_usage_error(self, capsys):
         config = parse_config(TINY_CONFIG)

@@ -95,6 +95,10 @@ class TestOverrides:
         config = _parse("output: {formats: [svg, csv, svg]}\n")
         assert config.formats == ("svg", "csv")
 
+    def test_non_unit_r0_accepted(self):
+        config = _parse("control: {r0: 4.0}\n")
+        assert config.scenario.r0 == 4.0
+
     def test_nonlinear_model_selection(self):
         config = _parse("scenario: {model: nonlinear}\n")
         assert config.scenario.model == "nonlinear"
@@ -135,10 +139,6 @@ class TestRejection:
         with pytest.raises(ConfigError, match="must be one of"):
             _parse("scenario: {model: quantum}\n")
 
-    def test_non_unit_r0_rejected(self):
-        with pytest.raises(ConfigError, match="control.r0 must be 1.0"):
-            _parse("control: {r0: 2.0}\n")
-
     def test_physical_validation_is_wrapped(self):
         with pytest.raises(ConfigError, match="congested equilibrium"):
             _parse("params: {rho_0_per_km: 90}\n")
@@ -148,6 +148,8 @@ class TestRejection:
             _parse("scenario: {ic_amplitude_per_km: 50}\n")
         with pytest.raises(ConfigError, match="q0"):
             _parse("control: {q0: 0}\n")
+        with pytest.raises(ConfigError, match="r0"):
+            _parse("control: {r0: 0}\n")
 
     def test_numerics_validation(self):
         with pytest.raises(ConfigError, match="n_cells"):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lwrvsl import (
-    ControlField,
     DensityField,
     RiccatiProblem,
     TrafficParams,
@@ -20,6 +19,7 @@ from lwrvsl import (
     phi_numeric_oracle,
 )
 from lwrvsl.riccati import DEFAULT_B_CLAMP
+from lwrvsl.verify import ORACLE_BOUND
 
 PARAMS = TrafficParams(
     rho_max=0.16,
@@ -54,9 +54,7 @@ class TestAssembleProblem:
     def test_frozen_coefficients(self):
         problem = _problem()
         assert problem.v_coef == -11.979166666666666
-        assert problem.m_coef == 0.0
         assert problem.b0_coef == -1.0980902777777777
-        assert problem.c0_coef == 1.0
         assert problem.q0 == 5e-5
         assert problem.r0 == 1.0
         assert problem.length == 2000.0
@@ -99,22 +97,20 @@ class TestAssembleProblem:
 class TestRiccatiProblem:
     def test_zero_q0_allowed_in_raw_problem(self):
         problem = RiccatiProblem(
-            v_coef=-10.0, m_coef=0.0, b0_coef=-1.0, c0_coef=1.0,
+            v_coef=-10.0, b0_coef=-1.0,
             q0=0.0, r0=1.0, length=1000.0,
         )
         assert problem.q0 == 0.0
 
     def test_invalid_coefficients_rejected(self):
         good = dict(
-            v_coef=-10.0, m_coef=0.0, b0_coef=-1.0, c0_coef=1.0,
+            v_coef=-10.0, b0_coef=-1.0,
             q0=1e-5, r0=1.0, length=1000.0,
         )
         bad = [
             dict(v_coef=0.0),
             dict(v_coef=3.0),
-            dict(m_coef=0.5),
             dict(b0_coef=0.1),
-            dict(c0_coef=2.0),
             dict(q0=-1e-9),
             dict(r0=0.0),
             dict(r0=-1.0),
@@ -159,16 +155,19 @@ class TestPhiClosedForm:
         with pytest.raises(ValueError):
             phi_closed_form(2000.5, problem)
 
-    def test_rejects_non_unit_r0(self):
-        problem = _problem(r0=2.0)
-        with pytest.raises(ValueError, match="r0 = 1"):
-            phi_closed_form(0.0, problem)
+    def test_general_r0_matches_oracle(self):
+        for r0 in (0.25, 4.0):
+            for q0 in PHI_AT_ZERO:
+                problem = _problem(q0, r0)
+                z, phi = phi_numeric_oracle(problem, 100_000)
+                closed = phi_closed_form(z, problem)
+                assert np.max(np.abs(closed - phi)) / np.max(closed) < ORACLE_BOUND
 
     def test_zero_actuation_reduces_to_linear_ramp(self):
         # with B0 = 0 the equation degenerates to V phi' = Q0, giving
         # phi = Q0 (L - z) / |V|
         problem = RiccatiProblem(
-            v_coef=-10.0, m_coef=0.0, b0_coef=0.0, c0_coef=1.0,
+            v_coef=-10.0, b0_coef=0.0,
             q0=2e-5, r0=1.0, length=1000.0,
         )
         assert phi_closed_form(0.0, problem) == pytest.approx(2e-3, rel=1e-14)
@@ -192,24 +191,18 @@ class TestNumericOracle:
         assert np.max(np.abs(phi - closed)) <= 1e-12 * scale
 
     def test_handles_general_r0(self):
-        # scaling B0 -> B0/2 with r0 = 1 matches keeping B0 with r0 = 4,
-        # since only B0^2/R0 enters the equation
-        base = RiccatiProblem(
-            v_coef=-10.0, m_coef=0.0, b0_coef=-0.5, c0_coef=1.0,
-            q0=1e-5, r0=1.0, length=1000.0,
-        )
-        scaled = RiccatiProblem(
-            v_coef=-10.0, m_coef=0.0, b0_coef=-1.0, c0_coef=1.0,
+        problem = RiccatiProblem(
+            v_coef=-10.0, b0_coef=-1.0,
             q0=1e-5, r0=4.0, length=1000.0,
         )
-        z, phi = phi_numeric_oracle(scaled, 2000)
-        closed = phi_closed_form(z, base)
+        z, phi = phi_numeric_oracle(problem, 2000)
+        closed = phi_closed_form(z, problem)
         scale = np.max(np.abs(closed))
         assert np.max(np.abs(phi - closed)) <= 1e-12 * scale
 
     def test_zero_q0_gives_zero_solution(self):
         problem = RiccatiProblem(
-            v_coef=-10.0, m_coef=0.0, b0_coef=-1.0, c0_coef=1.0,
+            v_coef=-10.0, b0_coef=-1.0,
             q0=0.0, r0=1.0, length=1000.0,
         )
         z, phi = phi_numeric_oracle(problem, 200)
@@ -258,10 +251,19 @@ class TestControlField:
         u2 = control_field_explicit(field, problem, grid)
         assert np.max(np.abs(u1 - u2)) <= 1e-12 * np.max(np.abs(u1))
 
+    def test_two_code_paths_agree_for_general_r0(self):
+        grid = make_grid(2000.0, 64)
+        field = _perturbation_field(grid)
+        for r0 in (0.25, 4.0):
+            problem = _problem(r0=r0)
+            u1 = control_field(field, problem, grid)
+            u2 = control_field_explicit(field, problem, grid)
+            assert np.max(np.abs(u1 - u2)) <= 1e-12 * np.max(np.abs(u1))
+
     def test_interface_state_construction(self):
         grid = make_grid(100.0, 4)
         problem = RiccatiProblem(
-            v_coef=-10.0, m_coef=0.0, b0_coef=-1.0, c0_coef=1.0,
+            v_coef=-10.0, b0_coef=-1.0,
             q0=1e-5, r0=1.0, length=100.0,
         )
         values = np.array([1.0, 2.0, 4.0, 8.0])
@@ -297,25 +299,24 @@ class TestControlField:
 class TestIntegrateVsl:
     def test_zero_control_reproduces_b0_exactly(self):
         grid = make_grid(2000.0, 32)
-        result = integrate_vsl(np.zeros(33), 1.0, grid)
-        assert np.all(result.b_profile == 1.0)
-        assert np.all(result.dbdz == 0.0)
+        profile = integrate_vsl(np.zeros(33), 1.0, grid)
+        assert np.all(profile == 1.0)
 
     def test_constant_slope_integrates_to_ramp(self):
         grid = make_grid(2000.0, 32)
         slope = 1e-4
-        result = integrate_vsl(np.full(33, slope), 1.0, grid)
+        profile = integrate_vsl(np.full(33, slope), 1.0, grid)
         expected = 1.0 + slope * grid.interfaces
-        assert np.allclose(result.b_profile, expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(profile, expected, rtol=1e-12, atol=0.0)
 
     def test_clamps_to_bounds(self):
         grid = make_grid(2000.0, 32)
         up = integrate_vsl(np.full(33, 1.0), 1.0, grid)
         down = integrate_vsl(np.full(33, -1.0), 1.0, grid)
-        assert np.max(up.b_profile) == DEFAULT_B_CLAMP[1]
-        assert np.min(down.b_profile) == DEFAULT_B_CLAMP[0]
-        assert up.b_profile[0] == 1.0
-        assert down.b_profile[0] == 1.0
+        assert np.max(up) == DEFAULT_B_CLAMP[1]
+        assert np.min(down) == DEFAULT_B_CLAMP[0]
+        assert up[0] == 1.0
+        assert down[0] == 1.0
 
     def test_negative_state_lowers_the_limit(self):
         # a deficit of cars produces negative feedback u, hence a speed
@@ -324,17 +325,17 @@ class TestIntegrateVsl:
         problem = _problem(5e-4)
         field = _perturbation_field(grid, amplitude=-0.01)
         u = control_field(field, problem, grid)
-        result = integrate_vsl(u, 1.0, grid)
-        assert np.min(result.b_profile) < 1.0
-        assert np.max(result.b_profile) <= 1.0
+        profile = integrate_vsl(u, 1.0, grid)
+        assert np.min(profile) < 1.0
+        assert np.max(profile) <= 1.0
 
     def test_positive_state_raises_the_limit(self):
         grid = make_grid(2000.0, 64)
         problem = _problem(5e-4)
         field = _perturbation_field(grid, amplitude=0.01)
         u = control_field(field, problem, grid)
-        result = integrate_vsl(u, 1.0, grid)
-        assert np.max(result.b_profile) > 1.0
+        profile = integrate_vsl(u, 1.0, grid)
+        assert np.max(profile) > 1.0
 
     def test_rejects_bad_inputs(self):
         grid = make_grid(2000.0, 32)
@@ -347,12 +348,6 @@ class TestIntegrateVsl:
 
     def test_control_field_record_is_read_only(self):
         grid = make_grid(2000.0, 8)
-        result = integrate_vsl(np.zeros(9), 1.0, grid)
+        profile = integrate_vsl(np.zeros(9), 1.0, grid)
         with pytest.raises(ValueError):
-            result.b_profile[0] = 5.0
-        with pytest.raises(ValueError):
-            result.dbdz[0] = 5.0
-
-    def test_rejects_negative_timestamp(self):
-        with pytest.raises(ValueError):
-            ControlField(dbdz=np.zeros(3), b_profile=np.ones(3), timestamp=-1.0)
+            profile[0] = 5.0

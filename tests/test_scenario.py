@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import lwrvsl.scenario as scenario_module
 from lwrvsl import (
     DensityField,
     REFERENCE_Q0_VALUES,
@@ -280,7 +281,8 @@ class TestRunSimulation:
 class TestSweep:
     def test_members_match_single_runs(self):
         scenario = _tiny()
-        sweep = sweep_q0(scenario, [5e-5, 5e-4], frame_interval=2.0)
+        sweep, failures = sweep_q0(scenario, [5e-5, 5e-4], frame_interval=2.0)
+        assert failures == {}
         assert [m.q0 for m in sweep] == [5e-5, 5e-4]
         single = run_simulation(
             dataclasses.replace(scenario, q0=5e-4), frame_interval=2.0
@@ -297,5 +299,22 @@ class TestSweep:
             sweep_q0(_tiny(), [])
 
     def test_failures_are_tagged_with_q0(self):
-        with pytest.raises(SolverError, match="q0=-1"):
-            sweep_q0(_tiny(), [-1.0])
+        # q0 = 1000 drives the tiny run out of [0, rho_max]; the members
+        # on either side of it must be bitwise equal to their solo runs
+        scenario = _tiny()
+        sweep, failures = sweep_q0(scenario, [5e-5, 1000.0, 5e-4])
+        assert [m.q0 for m in sweep] == [5e-5, 5e-4]
+        assert list(failures) == ["1000"]
+        assert "left [0, rho_max]" in failures["1000"]
+        for member in sweep:
+            solo = run_simulation(dataclasses.replace(scenario, q0=member.q0))
+            assert member.history.total_cars_series.tobytes() == (
+                solo.total_cars_series.tobytes()
+            )
+
+    def test_bad_q0_rejected_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(scenario_module, "run_simulation", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match="q0"):
+            sweep_q0(_tiny(), [5e-5, -1.0])
+        assert runs == []

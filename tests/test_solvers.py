@@ -11,7 +11,6 @@ from lwrvsl import (
     StepResult,
     TrafficParams,
     apply_boundary,
-    cfl_max_dt,
     flux,
     godunov_interface_flux,
     make_grid,
@@ -68,8 +67,8 @@ class TestStepResult:
     def test_flux_count_must_match(self):
         field = DensityField(np.zeros(4), "absolute", 0.0)
         with pytest.raises(ValueError, match="interface"):
-            StepResult(field, 0.1, np.zeros(4))
-        result = StepResult(field, 0.1, np.zeros(5))
+            StepResult(field, np.zeros(4))
+        result = StepResult(field, np.zeros(5))
         assert result.interface_fluxes.size == 5
 
 
@@ -107,57 +106,6 @@ class TestApplyBoundary:
             apply_boundary(field, -0.01, PARAMS)
         with pytest.raises(SolverError):
             apply_boundary(field, 0.17, PARAMS)
-
-    def test_rejects_unknown_policy(self):
-        field = DensityField(np.array([0.05]), "absolute", 0.0)
-        with pytest.raises(ValueError, match="policy"):
-            apply_boundary(field, 0.05, PARAMS, downstream_policy="reflect")
-
-
-class TestCflMaxDt:
-    def test_perturbation_uses_frozen_wave_speed(self):
-        grid = make_grid(2000.0, 400)
-        field = DensityField(np.zeros(400), "perturbation", 0.0)
-        dt = cfl_max_dt(field, np.ones(401), grid, PARAMS, 0.9)
-        assert dt == 0.9 * grid.dz / FREE_WAVE
-
-    def test_largest_rate_in_profile_governs(self):
-        grid = make_grid(2000.0, 10)
-        field = DensityField(np.zeros(10), "perturbation", 0.0)
-        b = np.ones(11)
-        b[4] = 2.0
-        dt = cfl_max_dt(field, b, grid, PARAMS, 0.9)
-        assert dt == 0.9 * grid.dz / (2.0 * FREE_WAVE)
-
-    def test_absolute_uses_characteristic_speeds(self):
-        grid = make_grid(2000.0, 400)
-        field = DensityField(np.full(400, PARAMS.rho_0), "absolute", 0.0)
-        dt = cfl_max_dt(field, np.ones(401), grid, PARAMS, 0.9)
-        assert dt == 0.9 * grid.dz / FREE_WAVE
-
-    def test_ghost_values_enter_the_bound(self):
-        grid = make_grid(2000.0, 10)
-        field = DensityField(
-            np.full(10, RHO_C), "absolute", 0.0, ghost_upstream=0.0
-        )
-        dt = cfl_max_dt(field, np.ones(11), grid, PARAMS, 0.9)
-        assert dt == 0.9 * grid.dz / PARAMS.u_max
-
-    def test_zero_wave_returns_remaining_time(self):
-        grid = make_grid(2000.0, 10)
-        field = DensityField(np.full(10, RHO_C), "absolute", 30.0)
-        dt = cfl_max_dt(field, np.ones(11), grid, PARAMS, 0.9)
-        assert dt == PARAMS.sim_time - 30.0
-
-    def test_validation(self):
-        grid = make_grid(2000.0, 10)
-        field = DensityField(np.zeros(10), "perturbation", 0.0)
-        with pytest.raises(ValueError):
-            cfl_max_dt(field, np.ones(11), grid, PARAMS, 0.0)
-        with pytest.raises(ValueError):
-            cfl_max_dt(field, np.ones(11), grid, PARAMS, 1.2)
-        with pytest.raises(ValueError):
-            cfl_max_dt(field, np.ones(10), grid, PARAMS, 0.9)
 
 
 def _bounded(values, kind, upstream, time=0.0):
