@@ -40,6 +40,7 @@ from .scenario import (
     Scenario,
     SimulationHistory,
     SweepResult,
+    absolute_density,
     initial_condition,
     reference_scenario,
     run_simulation,
@@ -50,14 +51,11 @@ from .scenario import (
     upstream_boundary,
 )
 from .solvers import (
-    DensityField,
     SolverError,
-    StepResult,
     apply_boundary,
     godunov_interface_flux,
     step_linear,
     step_nonlinear,
-    to_absolute,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +64,6 @@ __all__ = [
     "KMH_PER_MPS",
     "ConfigError",
     "DEFAULT_B_CLAMP",
-    "DensityField",
     "Grid1D",
     "M_PER_KM",
     "REFERENCE_Q0_VALUES",
@@ -75,9 +72,9 @@ __all__ = [
     "Scenario",
     "SimulationHistory",
     "SolverError",
-    "StepResult",
     "SweepResult",
     "TrafficParams",
+    "absolute_density",
     "apply_boundary",
     "assemble_problem",
     "characteristic_speed",
@@ -102,7 +99,6 @@ __all__ = [
     "sweep_q0",
     "target_cars",
     "time_to_target",
-    "to_absolute",
     "total_cars",
     "upstream_boundary",
     "vsl_speed",

@@ -12,14 +12,8 @@ import sys
 from pathlib import Path
 
 from .config import FORMATS, ConfigError, RunConfig, parse_config
-from .output import (
-    svg_lineplot,
-    write_json,
-    write_riccati_artifacts,
-    write_run_artifacts,
-    fmt_float,
-)
-from .scenario import REFERENCE_Q0_VALUES, run_simulation, sweep_q0, target_cars
+from .output import write_riccati_artifacts, write_run_artifacts, write_sweep_artifacts
+from .scenario import REFERENCE_Q0_VALUES, run_simulation, sweep_q0
 from .solvers import SolverError
 from .verify import run_all_checks
 
@@ -132,7 +126,6 @@ def cmd_sweep(config: RunConfig, q0_list: list[float]) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     for member in members:
         label = f"{member.q0:g}"
@@ -151,36 +144,11 @@ def cmd_sweep(config: RunConfig, q0_list: list[float]) -> int:
     for label, message in failures.items():
         print(f"sweep member q0={label} failed: {message}", file=sys.stderr)
     if written:
-        times = written[0].history.times
-        if "csv" in config.formats:
-            with open(out / "total_cars_sweep.csv", "w", newline="\n") as fh:
-                header = ["t_s"] + [f"total_cars[q0={m.q0:g}]" for m in written]
-                fh.write(",".join(header) + "\n")
-                for i, t in enumerate(times):
-                    row = [fmt_float(t)] + [
-                        fmt_float(m.history.total_cars_series[i]) for m in written
-                    ]
-                    fh.write(",".join(row) + "\n")
-        if "json" in config.formats:
-            write_json(
-                out / "sweep_summary.json",
-                {
-                    "q0_values": [m.q0 for m in written],
-                    "target_cars": target_cars(config.scenario.params),
-                    "final_total_cars": {f"{m.q0:g}": m.final_total_cars for m in written},
-                    "time_to_target_s": {f"{m.q0:g}": m.time_to_target for m in written},
-                    "failures": failures,
-                },
-            )
-        if "svg" in config.formats:
-            svg_lineplot(
-                out / "total_cars_sweep.svg",
-                times,
-                [(f"q0={m.q0:g}", m.history.total_cars_series) for m in written],
-                title="Total cars on the road section",
-                x_label="t [s]",
-                y_label="total cars",
-            )
+        try:
+            write_sweep_artifacts(out, config.scenario, written, failures, config.formats)
+        except OSError as exc:
+            print(f"write failure: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
     return EXIT_SOLVER if failures else EXIT_OK
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .params import make_grid, params_from_paper_units
+from .params import make_grid, params_from_paper_units, require_positive
 from .riccati import DEFAULT_B_CLAMP
 from .scenario import (
     MODELS,
@@ -50,8 +50,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.output_cadence <= 0.0:
-            raise ValueError("output_cadence must be positive")
+        require_positive("output_cadence", self.output_cadence)
         if len(self.formats) == 0 or any(f not in FORMATS for f in self.formats):
             raise ValueError(f"formats must be a non-empty subset of {FORMATS}")
 

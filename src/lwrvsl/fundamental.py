@@ -4,6 +4,9 @@ The VSL rate b scales the free-flow speed, so the speed-density relation is
 u(rho) = b * u_max * (1 - rho/rho_max) and the flux q = rho * u stays a
 concave parabola with its maximum at the critical density rho_max/2 for
 every b >= 0.
+
+The relations do not check their arguments, which Scenario and the
+steppers keep in range (rho in [0, rho_max], b >= 0).
 """
 
 from __future__ import annotations
@@ -15,28 +18,13 @@ from .params import TrafficParams
 ArrayLike = float | np.ndarray
 
 
-def _check_density(rho: ArrayLike, params: TrafficParams) -> None:
-    if np.any(np.asarray(rho) < 0) or np.any(np.asarray(rho) > params.rho_max):
-        raise ValueError(
-            f"density outside [0, rho_max={params.rho_max}]; "
-            "out-of-range density indicates a solver bug"
-        )
-
-
-def _check_vsl(b: ArrayLike) -> None:
-    if np.any(np.asarray(b) < 0):
-        raise ValueError("VSL rate b must be non-negative")
-
-
 def equilibrium_speed(rho: ArrayLike, params: TrafficParams) -> ArrayLike:
     """Greenshield speed u_max * (1 - rho/rho_max)."""
-    _check_density(rho, params)
     return params.u_max * (1.0 - rho / params.rho_max)
 
 
 def vsl_speed(rho: ArrayLike, b: ArrayLike, params: TrafficParams) -> ArrayLike:
     """Speed under a VSL rate b: b * u_max * (1 - rho/rho_max)."""
-    _check_vsl(b)
     return b * equilibrium_speed(rho, params)
 
 
@@ -50,8 +38,6 @@ def characteristic_speed(rho: ArrayLike, b: ArrayLike, params: TrafficParams) ->
 
     Positive in free flow (rho < rho_max/2), negative when congested.
     """
-    _check_density(rho, params)
-    _check_vsl(b)
     return b * params.u_max * (1.0 - 2.0 * rho / params.rho_max)
 
 

@@ -21,11 +21,12 @@ from .riccati import assemble_problem, feedback_gain, phi_closed_form
 from .scenario import (
     Scenario,
     SimulationHistory,
+    SweepResult,
+    absolute_density,
     mass_balance_defect,
     target_cars,
     time_to_target,
 )
-from .solvers import to_absolute
 
 _COLORMAP_ANCHORS = (
     (68, 1, 84),
@@ -79,11 +80,14 @@ def write_wide_csv(
             fh.write(",".join([fmt_float(t)] + [fmt_float(v) for v in row]) + "\n")
 
 
-def write_total_cars_csv(path: Path, times: np.ndarray, totals: np.ndarray) -> None:
+def write_total_cars_csv(path: Path, times: np.ndarray, series: dict[str, np.ndarray]) -> None:
+    """Car counts over time: a t_s column, then one column per {header: series} entry."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("t_s,total_cars\n")
-        for t, n in zip(times, totals):
-            fh.write(f"{fmt_float(t)},{fmt_float(n)}\n")
+        fh.write(",".join(["t_s", *series]) + "\n")
+        columns = list(series.values())
+        for i, t in enumerate(times):
+            row = [fmt_float(t)] + [fmt_float(column[i]) for column in columns]
+            fh.write(",".join(row) + "\n")
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -98,9 +102,7 @@ def run_summary(
 ) -> dict:
     """Stable-keyed summary of one run, in road units."""
     p = scenario.params
-    absolute = [to_absolute(frame, p).values for frame in history.density_frames]
-    min_density = min(float(values.min()) for values in absolute)
-    max_density = max(float(values.max()) for values in absolute)
+    absolute = absolute_density(scenario, history)
     target = target_cars(p)
     summary = {
         "model": scenario.model,
@@ -131,8 +133,8 @@ def run_summary(
         "target_cars": target,
         "initial_total_cars": float(history.total_cars_series[0]),
         "final_total_cars": float(history.total_cars_series[-1]),
-        "min_density_per_km": min_density * M_PER_KM,
-        "max_density_per_km": max_density * M_PER_KM,
+        "min_density_per_km": float(absolute.min()) * M_PER_KM,
+        "max_density_per_km": float(absolute.max()) * M_PER_KM,
         "time_to_target_s": time_to_target(history, target),
     }
     if scenario.model == "nonlinear":
@@ -316,6 +318,8 @@ def _artifact_set(out_dir: Path | str):
     """Yield (written, reserve): reserve(name) adds out_dir/name to written.
 
     out_dir is created first; on failure every reserved file is removed.
+    A reserved name that is not a removable file, such as a directory that
+    was in the way, is left as it is.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -329,7 +333,8 @@ def _artifact_set(out_dir: Path | str):
         yield written, reserve
     except BaseException:
         for path in written:
-            path.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
         raise
 
 
@@ -342,11 +347,8 @@ def write_run_artifacts(
     cadence: float,
 ) -> list[Path]:
     """Write the per-run file set; on failure remove partial files."""
-    p = scenario.params
     grid = scenario.grid
-    density = np.stack(
-        [to_absolute(frame, p).values for frame in history.density_frames]
-    ) * M_PER_KM
+    density = absolute_density(scenario, history) * M_PER_KM
     speed = np.stack(history.speed_frames) * KMH_PER_MPS
     vsl = np.stack(history.vsl_frames)
     control = np.stack(history.control_frames)
@@ -370,7 +372,8 @@ def write_run_artifacts(
                 grid.interfaces, history.times, control,
             )
             write_total_cars_csv(
-                reserve("total_cars.csv"), history.times, history.total_cars_series
+                reserve("total_cars.csv"), history.times,
+                {"total_cars": history.total_cars_series},
             )
         if "json" in formats:
             write_json(reserve("summary.json"), run_summary(scenario, history, cfl, cadence))
@@ -386,6 +389,42 @@ def write_run_artifacts(
             svg_heatmap(
                 reserve("vsl.svg"), history.times, grid.interfaces, vsl,
                 title="VSL rate b", value_label="-",
+            )
+    return written
+
+
+def write_sweep_artifacts(
+    out_dir: Path | str,
+    scenario: Scenario,
+    members: list[SweepResult],
+    failures: dict[str, str],
+    formats: tuple[str, ...],
+) -> list[Path]:
+    """The combined sweep files over the members; on failure remove partial files.
+
+    failures maps the q0 label of each member left out to its message.
+    """
+    times = members[0].history.times
+    with _artifact_set(out_dir) as (written, reserve):
+        if "csv" in formats:
+            write_total_cars_csv(
+                reserve("total_cars_sweep.csv"), times,
+                {f"total_cars[q0={m.q0:g}]": m.history.total_cars_series for m in members},
+            )
+        if "json" in formats:
+            payload = {
+                "q0_values": [m.q0 for m in members],
+                "target_cars": target_cars(scenario.params),
+                "final_total_cars": {f"{m.q0:g}": m.final_total_cars for m in members},
+                "time_to_target_s": {f"{m.q0:g}": m.time_to_target for m in members},
+                "failures": failures,
+            }
+            write_json(reserve("sweep_summary.json"), payload)
+        if "svg" in formats:
+            svg_lineplot(
+                reserve("total_cars_sweep.svg"), times,
+                [(f"q0={m.q0:g}", m.history.total_cars_series) for m in members],
+                title="Total cars on the road section", x_label="t [s]", y_label="total cars",
             )
     return written
 

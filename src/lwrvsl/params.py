@@ -7,6 +7,7 @@ length in m, time in s.  Road data is usually quoted in cars/km and km/h;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,12 @@ import numpy as np
 # unit divisors: SI value = quoted value / divisor, quoted value = SI value * divisor
 M_PER_KM = 1000.0   # cars/km / M_PER_KM -> cars/m
 KMH_PER_MPS = 3.6   # km/h / KMH_PER_MPS -> m/s
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise ValueError unless value is finite and positive (NaN fails too)."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,9 +45,8 @@ class TrafficParams:
 
     def __post_init__(self) -> None:
         for name in ("rho_max", "u_max", "road_length", "sim_time", "b_0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.rho_0 < 0:
+            require_positive(name, getattr(self, name))
+        if not self.rho_0 >= 0:
             raise ValueError("rho_0 must be non-negative")
         if self.rho_0 >= self.rho_max / 2:
             raise ValueError(
@@ -88,8 +94,7 @@ def params_from_paper_units(
         ("sim_time_s", sim_time_s),
         ("b_0", b_0),
     ):
-        if value <= 0:
-            raise ValueError(f"{name} must be positive")
+        require_positive(name, value)
     return TrafficParams(
         rho_max=rho_max_per_km / M_PER_KM,
         u_max=u_max_kph / KMH_PER_MPS,

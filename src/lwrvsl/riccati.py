@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundamental import characteristic_speed, flux
-from .params import Grid1D, TrafficParams
-from .solvers import DensityField
+from .params import Grid1D, TrafficParams, require_positive
 
 DEFAULT_B_CLAMP = (0.1, 2.0)
 
@@ -60,10 +59,8 @@ class RiccatiProblem:
 
 def assemble_problem(params: TrafficParams, q0: float, r0: float = 1.0) -> RiccatiProblem:
     """Build the scalar LQ coefficients from the traffic equilibrium."""
-    if q0 <= 0.0:
-        raise ValueError("q0 must be positive")
-    if r0 <= 0.0:
-        raise ValueError("r0 must be positive")
+    require_positive("q0", q0)
+    require_positive("r0", r0)
     v_coef = -characteristic_speed(params.rho_0, params.b_0, params)
     if v_coef >= 0.0:
         raise ValueError("V >= 0: uncontrollable setup (requires rho_0 < rho_max/2)")
@@ -77,20 +74,14 @@ def assemble_problem(params: TrafficParams, q0: float, r0: float = 1.0) -> Ricca
     )
 
 
-def _check_positions(z: np.ndarray, length: float) -> None:
-    if np.any(z < 0.0) or np.any(z > length):
-        raise ValueError(f"position outside [0, {length}]")
-
-
 def phi_closed_form(z: np.ndarray | float, problem: RiccatiProblem) -> np.ndarray | float:
     """Evaluate the closed-form Riccati solution Phi(z).
 
     Phi(L) = 0 exactly (the numerator vanishes bit-exactly at z = L),
-    Phi >= 0, and Phi is non-increasing in z. The degenerate B0 = 0 case
+    Phi >= 0 on [0, L], and Phi is non-increasing in z. The degenerate B0 = 0 case
     integrates V dPhi/dz = Q0 directly: Phi = Q0 (L - z) / |V|.
     """
     z_arr = np.asarray(z, dtype=float)
-    _check_positions(z_arr, problem.length)
     if problem.b0_coef == 0.0:
         phi = problem.q0 * (problem.length - z_arr) / abs(problem.v_coef)
     else:
@@ -137,34 +128,23 @@ def feedback_gain(z: np.ndarray | float, problem: RiccatiProblem) -> np.ndarray 
     return -problem.b0_coef * phi_closed_form(z, problem) / problem.r0
 
 
-def _interface_state(delta_rho: DensityField, problem: RiccatiProblem, grid: Grid1D) -> np.ndarray:
-    if delta_rho.kind != "perturbation":
-        raise ValueError("control law acts on a perturbation field")
-    if delta_rho.n_cells != grid.n_cells:
-        raise ValueError(
-            f"grid mismatch: field has {delta_rho.n_cells} cells, grid has {grid.n_cells}"
-        )
-    if abs(problem.length - grid.length) > 1e-9 * grid.length:
-        raise ValueError(
-            f"grid mismatch: problem length {problem.length} vs grid length {grid.length}"
-        )
-    values = delta_rho.values
+def _interface_state(values: np.ndarray) -> np.ndarray:
     # interior interfaces average the adjacent cells; boundary interfaces are one-sided
     return np.concatenate(
         ([values[0]], 0.5 * (values[:-1] + values[1:]), [values[-1]])
     )
 
 
-def control_field(
-    delta_rho: DensityField, problem: RiccatiProblem, grid: Grid1D
-) -> np.ndarray:
-    """Per-interface control u_opt = K0(z) drho(z) via the gain profile."""
-    state = _interface_state(delta_rho, problem, grid)
-    return feedback_gain(grid.interfaces, problem) * state
+def control_field(delta_rho: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """Per-interface control u_opt = K0(z) drho(z) from the cell perturbations.
+
+    gain is feedback_gain at the grid interfaces, which a run computes once.
+    """
+    return gain * _interface_state(delta_rho)
 
 
 def control_field_explicit(
-    delta_rho: DensityField, problem: RiccatiProblem, grid: Grid1D
+    delta_rho: np.ndarray, problem: RiccatiProblem, grid: Grid1D
 ) -> np.ndarray:
     """Per-interface control from the explicit feedback expression.
 
@@ -172,7 +152,7 @@ def control_field_explicit(
     without composing feedback_gain with phi_closed_form; kept as a
     second, independent code path for cross-checking.
     """
-    state = _interface_state(delta_rho, problem, grid)
+    state = _interface_state(delta_rho)
     root_ratio = math.sqrt(problem.q0 / problem.r0)
     e = np.exp(
         2.0
@@ -193,18 +173,13 @@ def integrate_vsl(
     """Integrate u = db/dz into a speed-limit profile anchored at b(0) = b0.
 
     Trapezoidal cumulative integral over the interfaces, then an
-    elementwise clamp to [b_min, b_max]. Zero control therefore
-    reproduces the uncontrolled profile b = b0 exactly. The returned
-    per-interface profile is read-only.
+    elementwise clamp to [b_min, b_max], which must straddle b0 (Scenario
+    checks this at entry). Zero control therefore reproduces the
+    uncontrolled profile b = b0 exactly. The returned per-interface
+    profile is read-only.
     """
-    u = np.asarray(u_opt, dtype=float)
-    if u.size != grid.n_cells + 1:
-        raise ValueError("u_opt must have one value per grid interface")
-    b_min, b_max = clamp
-    if not b_min < b0 < b_max:
-        raise ValueError(f"clamp bounds must straddle b0: need {b_min} < {b0} < {b_max}")
-    increments = 0.5 * grid.dz * (u[:-1] + u[1:])
+    increments = 0.5 * grid.dz * (u_opt[:-1] + u_opt[1:])
     profile = b0 + np.concatenate(([0.0], np.cumsum(increments)))
-    profile = np.clip(profile, b_min, b_max)
+    profile = np.clip(profile, *clamp)
     profile.setflags(write=False)
     return profile

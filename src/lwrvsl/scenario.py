@@ -11,6 +11,9 @@ field feeds the LQ control law, the control integrates to a VSL profile,
 and the chosen plant (linear perturbation transport or nonlinear LWR)
 advances one explicit step. The nonlinear plant reuses the linear
 feedback law on its live perturbation rho - rho_0.
+
+Scenario validates a run's inputs once, at entry; the loop passes plain
+arrays and checks only the CFL condition and each step's density bound.
 """
 
 from __future__ import annotations
@@ -21,16 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundamental import vsl_speed
-from .params import Grid1D, M_PER_KM, TrafficParams, make_grid, params_from_paper_units
-from .riccati import DEFAULT_B_CLAMP, assemble_problem, control_field, integrate_vsl
-from .solvers import (
-    DensityField,
-    SolverError,
-    apply_boundary,
-    step_linear,
-    step_nonlinear,
-    to_absolute,
+from .params import (
+    M_PER_KM, Grid1D, TrafficParams, make_grid, params_from_paper_units, require_positive,
 )
+from .riccati import (
+    DEFAULT_B_CLAMP, assemble_problem, control_field, feedback_gain, integrate_vsl,
+)
+from .solvers import SolverError, apply_boundary, step_linear, step_nonlinear
 
 MODELS = ("linear", "nonlinear")
 
@@ -81,18 +81,21 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.q0 <= 0.0:
-            raise ValueError("q0 must be positive")
-        if self.r0 <= 0.0:
-            raise ValueError("r0 must be positive")
-        if self.bc_osc_period <= 0.0:
-            raise ValueError("bc_osc_period must be positive")
+        require_positive("q0", self.q0)
+        require_positive("r0", self.r0)
+        require_positive("bc_osc_period", self.bc_osc_period)
         if self.bc_decay_rate < 0.0:
             raise ValueError("bc_decay_rate must be non-negative")
         b_min, b_max = self.clamp
-        if not b_min < self.params.b_0 < b_max:
+        if not 0.0 <= b_min < self.params.b_0 < b_max:
             raise ValueError(
-                f"clamp bounds must straddle b_0: need {b_min} < {self.params.b_0} < {b_max}"
+                "clamp bounds must straddle b_0 with a non-negative b_min: "
+                f"need 0 <= {b_min} < {self.params.b_0} < {b_max}"
+            )
+        if abs(self.grid.length - self.params.road_length) > 1e-9 * self.params.road_length:
+            raise ValueError(
+                f"grid mismatch: grid length {self.grid.length} vs road length "
+                f"{self.params.road_length}"
             )
         self._check_free_flow()
 
@@ -115,17 +118,19 @@ class Scenario:
 class SimulationHistory:
     """Time-indexed record of one run, sampled at the output cadence.
 
-    density_frames keep the solver's native kind (perturbation for the
-    linear model, absolute for the nonlinear model); speeds are m/s per
-    cell, vsl_frames the dimensionless b per interface, control_frames
-    db/dz per interface. inflow_cars and outflow_cars accumulate the
-    time-integrated boundary interface fluxes of the solver. The frame
-    tuples are left out of the repr, which would otherwise print every
-    cell of every frame.
+    Each frame set is a tuple of read-only 1-D arrays, one per entry of
+    times. density_frames hold the plant's native kind, cars/m per cell:
+    the perturbation rho - rho_0 for the linear model, the absolute
+    density for the nonlinear one (absolute_density converts them all at
+    once). speed_frames are m/s per cell, vsl_frames the dimensionless b
+    per interface, control_frames db/dz per interface. inflow_cars and
+    outflow_cars accumulate the time-integrated boundary interface fluxes
+    of the solver. The frame tuples are left out of the repr, which would
+    otherwise print every cell of every frame.
     """
 
     times: np.ndarray
-    density_frames: tuple[DensityField, ...] = dataclasses.field(repr=False)
+    density_frames: tuple[np.ndarray, ...] = dataclasses.field(repr=False)
     speed_frames: tuple[np.ndarray, ...] = dataclasses.field(repr=False)
     vsl_frames: tuple[np.ndarray, ...] = dataclasses.field(repr=False)
     control_frames: tuple[np.ndarray, ...] = dataclasses.field(repr=False)
@@ -227,11 +232,12 @@ def initial_condition(z: np.ndarray | float, scenario: Scenario) -> np.ndarray |
 
 
 def upstream_boundary(t: np.ndarray | float, scenario: Scenario) -> np.ndarray | float:
-    """Upstream density rho_0 + A_b exp(-kappa t) sin(pi t / P) + gamma t, cars/m."""
+    """Upstream density rho_0 + A_b exp(-kappa t) sin(pi t / P) + gamma t, cars/m.
+
+    t is not checked; Scenario bounds the density for t in [0, sim_time].
+    """
     p = scenario.params
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > p.sim_time):
-        raise ValueError(f"time outside [0, {p.sim_time}]")
     osc_amp = scenario.bc_osc_amplitude / M_PER_KM
     growth = scenario.bc_growth_rate / M_PER_KM
     rho = (
@@ -246,17 +252,20 @@ def upstream_boundary(t: np.ndarray | float, scenario: Scenario) -> np.ndarray |
     return rho
 
 
-def total_cars(field: DensityField, grid: Grid1D) -> float:
-    """Spatial integral of density over the road: sum rho_i dz, in cars."""
-    if field.kind != "absolute":
-        raise ValueError(
-            "total_cars needs an absolute density field; shift perturbations by rho_0 first"
-        )
-    if field.n_cells != grid.n_cells:
-        raise ValueError(
-            f"grid mismatch: field has {field.n_cells} cells, grid has {grid.n_cells}"
-        )
-    return float(np.sum(field.values) * grid.dz)
+def total_cars(rho: np.ndarray, grid: Grid1D) -> float:
+    """Spatial integral of the absolute density over the road: sum rho_i dz, in cars."""
+    return float(np.sum(rho) * grid.dz)
+
+
+def absolute_density(scenario: Scenario, history: SimulationHistory) -> np.ndarray:
+    """The run's absolute density in cars/m, one row per frame.
+
+    Linear runs record rho - rho_0, so their frames are shifted by rho_0.
+    """
+    frames = np.stack(history.density_frames)
+    if scenario.model == "linear":
+        return frames + scenario.params.rho_0
+    return frames
 
 
 def target_cars(params: TrafficParams) -> float:
@@ -297,47 +306,43 @@ def run_simulation(
 ) -> SimulationHistory:
     """Advance the chosen plant over [0, T] under quasi-static feedback.
 
-    Per step: evaluate the perturbation field, recompute the control and
-    VSL profile from it (when enabled), attach boundary ghosts at the
-    current time, and take one explicit step. The step size is fixed
-    from the worst-case wave speed b_cap * u_max (b_cap being the clamp
-    ceiling when control is on, else b_0) and shortened only to land
-    exactly on frame instants. Frames record density, speed, VSL rate,
-    control, and total cars every frame_interval seconds.
+    The feedback gain K0 at the interfaces is computed once. Per step:
+    attach boundary ghosts at the current time, take one explicit step,
+    and recompute the control and VSL profile from the new perturbation
+    field (when enabled). The step size is fixed from the worst-case wave
+    speed b_cap * u_max (b_cap being the clamp ceiling when control is
+    on, else b_0) and shortened only to land exactly on frame instants.
+    Frames record density, speed, VSL rate, control, and total cars every
+    frame_interval seconds.
     """
-    if frame_interval <= 0.0:
-        raise ValueError("frame_interval must be positive")
+    require_positive("frame_interval", frame_interval)
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
     p = scenario.params
     grid = scenario.grid
     linear = scenario.model == "linear"
-    problem = (
-        assemble_problem(p, scenario.q0, scenario.r0) if scenario.control_enabled else None
+    gain = (
+        feedback_gain(grid.interfaces, assemble_problem(p, scenario.q0, scenario.r0))
+        if scenario.control_enabled
+        else None
     )
 
     ic = initial_condition(grid.cell_centers, scenario)
-    values0 = ic - p.rho_0 if linear else ic
-    state = DensityField(values0, "perturbation" if linear else "absolute", 0.0)
+    state = ic - p.rho_0 if linear else ic
 
     b_cap = scenario.clamp[1] if scenario.control_enabled else p.b_0
     dt_fixed = cfl * grid.dz / (b_cap * p.u_max)
     zero_control = np.zeros(grid.n_cells + 1)
     base_profile = np.full(grid.n_cells + 1, p.b_0)
 
-    def controls(field: DensityField) -> tuple[np.ndarray, np.ndarray]:
-        if problem is None:
+    def controls(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if gain is None:
             return zero_control, base_profile
-        delta = (
-            field
-            if linear
-            else DensityField(field.values - p.rho_0, "perturbation", field.time)
-        )
-        u_opt = control_field(delta, problem, grid)
+        u_opt = control_field(values if linear else values - p.rho_0, gain)
         return u_opt, integrate_vsl(u_opt, p.b_0, grid, scenario.clamp)
 
     times: list[float] = []
-    density_frames: list[DensityField] = []
+    density_frames: list[np.ndarray] = []
     speed_frames: list[np.ndarray] = []
     vsl_frames: list[np.ndarray] = []
     control_frames: list[np.ndarray] = []
@@ -345,42 +350,45 @@ def run_simulation(
     inflow = 0.0
     outflow = 0.0
 
-    def record(field: DensityField) -> None:
-        u_opt, b_profile = controls(field)
-        absolute = to_absolute(field, p)
+    def record(t: float, values: np.ndarray, u_opt: np.ndarray, b_profile: np.ndarray) -> None:
+        absolute = values + p.rho_0 if linear else values
         b_cells = 0.5 * (b_profile[:-1] + b_profile[1:])
-        times.append(field.time)
-        density_frames.append(field)
-        speed_frames.append(vsl_speed(absolute.values, b_cells, p))
+        values.setflags(write=False)
+        times.append(t)
+        density_frames.append(values)
+        speed_frames.append(vsl_speed(absolute, b_cells, p))
         vsl_frames.append(b_profile)
         control_frames.append(u_opt)
         totals.append(total_cars(absolute, grid))
 
-    record(state)
+    u_opt, b_profile = controls(state)
+    record(0.0, state, u_opt, b_profile)
     t = 0.0
     frame_index = 1
     while t < p.sim_time - 1e-9:
         next_frame = min(frame_index * frame_interval, p.sim_time)
-        u_opt, b_profile = controls(state)
         at_frame = t + dt_fixed >= next_frame - 1e-12
         dt = next_frame - t if at_frame else dt_fixed
-        bounded = apply_boundary(state, upstream_boundary(t, scenario), p)
+        upstream = upstream_boundary(t, scenario)
         if linear:
-            result = step_linear(bounded, u_opt, grid, p, dt)
+            extended = apply_boundary(state, upstream - p.rho_0)
+            state, fluxes = step_linear(grid, extended, u_opt, p, dt)
         else:
-            result = step_nonlinear(bounded, b_profile, grid, p, dt)
-        inflow += dt * result.interface_fluxes[0]
-        outflow += dt * result.interface_fluxes[-1]
+            extended = apply_boundary(state, upstream)
+            state, fluxes = step_nonlinear(grid, extended, b_profile, p, dt)
+        inflow += dt * fluxes[0]
+        outflow += dt * fluxes[-1]
         t = next_frame if at_frame else t + dt
-        state = dataclasses.replace(result.field, time=t)
         if linear:
-            absolute = state.values + p.rho_0
-            if absolute.min() < 0.0 or absolute.max() > p.rho_max:
+            absolute = state + p.rho_0
+            if not 0.0 <= absolute.min() <= absolute.max() <= p.rho_max:
                 raise SolverError(
                     f"density left [0, rho_max] in the linear run at t={t}"
                 )
+        # the control of the new state drives the next step and, at a frame, is recorded
+        u_opt, b_profile = controls(state)
         if at_frame:
-            record(state)
+            record(t, state, u_opt, b_profile)
             frame_index += 1
     return SimulationHistory(
         times=np.array(times),

@@ -22,11 +22,12 @@ from .riccati import RiccatiProblem, assemble_problem, phi_closed_form, phi_nume
 from .scenario import (
     REFERENCE_Q0,
     REFERENCE_Q0_VALUES,
+    absolute_density,
     mass_balance_defect,
     reference_scenario,
     run_simulation,
 )
-from .solvers import DensityField, apply_boundary, step_linear, step_nonlinear, to_absolute
+from .solvers import apply_boundary, step_linear, step_nonlinear
 
 RESIDUAL_BOUND = 1e-8
 ORACLE_BOUND = 1e-8
@@ -160,13 +161,12 @@ def linear_convergence_l1_errors(
         grid = make_grid(params.road_length, n_cells)
         n_steps = math.ceil(final_time / (cfl * grid.dz / speed))
         dt = final_time / n_steps
-        state = DensityField(_bump(grid.cell_centers, amplitude), "perturbation", 0.0)
+        state = _bump(grid.cell_centers, amplitude)
         zeros = np.zeros(grid.n_cells + 1)
         for _ in range(n_steps):
-            bounded = apply_boundary(state, params.rho_0, params)
-            state = step_linear(bounded, zeros, grid, params, dt).field
+            state, _ = step_linear(grid, apply_boundary(state, 0.0), zeros, params, dt)
         exact = _bump(grid.cell_centers - speed * final_time, amplitude)
-        errors.append(float(np.sum(np.abs(state.values - exact)) * grid.dz))
+        errors.append(float(np.sum(np.abs(state - exact)) * grid.dz))
     return errors
 
 
@@ -206,14 +206,13 @@ def nonlinear_convergence_l1_errors(
         grid = make_grid(params.road_length, n_cells)
         n_steps = math.ceil(final_time / (cfl * grid.dz / wave_bound))
         dt = final_time / n_steps
-        values = params.rho_0 + _bump(grid.cell_centers, amplitude)
-        state = DensityField(values, "absolute", 0.0)
+        state = params.rho_0 + _bump(grid.cell_centers, amplitude)
         b_profile = np.full(grid.n_cells + 1, params.b_0)
         for _ in range(n_steps):
-            bounded = apply_boundary(state, params.rho_0, params)
-            state = step_nonlinear(bounded, b_profile, grid, params, dt).field
+            extended = apply_boundary(state, params.rho_0)
+            state, _ = step_nonlinear(grid, extended, b_profile, params, dt)
         exact = _nonlinear_exact(grid.cell_centers, final_time, amplitude, params)
-        errors.append(float(np.sum(np.abs(state.values - exact)) * grid.dz))
+        errors.append(float(np.sum(np.abs(state - exact)) * grid.dz))
     return errors
 
 
@@ -261,16 +260,13 @@ def linearization_gaps(scales: tuple[float, ...] = (1.0, 0.5, 0.25)) -> list[flo
     """
     gaps = []
     for scale in scales:
-        linear = run_simulation(
-            reference_scenario(model="linear", control_enabled=False, amplitude_scale=scale)
-        )
-        nonlinear = run_simulation(
-            reference_scenario(model="nonlinear", control_enabled=False, amplitude_scale=scale)
-        )
-        params = reference_scenario(control_enabled=False).params
-        lin_final = to_absolute(linear.density_frames[-1], params).values
-        non_final = nonlinear.density_frames[-1].values
-        gaps.append(float(np.max(np.abs(lin_final - non_final))))
+        finals = []
+        for model in ("linear", "nonlinear"):
+            scenario = reference_scenario(
+                model=model, control_enabled=False, amplitude_scale=scale
+            )
+            finals.append(absolute_density(scenario, run_simulation(scenario))[-1])
+        gaps.append(float(np.max(np.abs(finals[0] - finals[1]))))
     return gaps
 
 

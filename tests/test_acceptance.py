@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from lwrvsl import (
-    DensityField,
     REFERENCE_Q0_VALUES,
+    absolute_density,
     assemble_problem,
     control_field,
     control_field_explicit,
+    feedback_gain,
     initial_condition,
     reference_scenario,
     params_from_paper_units,
@@ -29,7 +30,6 @@ from lwrvsl import (
     run_simulation,
     target_cars,
     time_to_target,
-    to_absolute,
 )
 from lwrvsl.verify import (
     linear_convergence_l1_errors,
@@ -116,14 +116,10 @@ class TestAcceptance:
     def test_feedback_law_two_paths_agree(self):
         scenario = reference_scenario()
         grid = scenario.grid
-        delta = DensityField(
-            initial_condition(grid.cell_centers, scenario) - scenario.params.rho_0,
-            "perturbation",
-            0.0,
-        )
+        delta = initial_condition(grid.cell_centers, scenario) - scenario.params.rho_0
         for q0 in REFERENCE_Q0_VALUES:
             problem = assemble_problem(scenario.params, q0)
-            composed = control_field(delta, problem, grid)
+            composed = control_field(delta, feedback_gain(grid.interfaces, problem))
             explicit = control_field_explicit(delta, problem, grid)
             gap = float(
                 np.max(np.abs(composed - explicit)) / np.max(np.abs(composed))
@@ -211,17 +207,13 @@ class TestAcceptance:
     def test_free_flow_density_bound(
         self, linear_sweep, nonlinear_sweep, linear_baseline, nonlinear_baseline
     ):
-        params = reference_scenario().params
-        histories = (
-            [m.history for m in linear_sweep]
-            + [m.history for m in nonlinear_sweep]
-            + [linear_baseline, nonlinear_baseline]
+        runs = (
+            [("linear", m.history) for m in linear_sweep]
+            + [("nonlinear", m.history) for m in nonlinear_sweep]
+            + [("linear", linear_baseline), ("nonlinear", nonlinear_baseline)]
         )
-        for history in histories:
-            peak = max(
-                float(to_absolute(frame, params).values.max())
-                for frame in history.density_frames
-            )
+        for model, history in runs:
+            peak = float(absolute_density(reference_scenario(model=model), history).max())
             assert peak * 1000.0 < 80.0, f"peak density {peak * 1000.0:.3f} cars/km"
 
     def test_zero_perturbation_and_control_off_invariance(self):
@@ -253,6 +245,6 @@ class TestAcceptance:
             for frame_a, frame_b in zip(
                 first.density_frames, second.density_frames
             ):
-                assert frame_a.values.tobytes() == frame_b.values.tobytes()
+                assert frame_a.tobytes() == frame_b.tobytes()
             assert first.inflow_cars == second.inflow_cars
             assert first.outflow_cars == second.outflow_cars

@@ -1,0 +1,62 @@
+"""The benchmark's view of the package: the names it traces and the cell count it reads.
+
+perfbench/run.py finds the functions it times by module and name, and
+counts cell updates from the grid passed first to each stepper. A
+refactor that breaks either makes every benchmark operation fail, so
+this module loads run.py (without writing anything next to it) and
+checks both against a small closed-loop run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import lwrvsl
+import lwrvsl.cli  # run.py resolves names on these submodules too
+import lwrvsl.verify
+from lwrvsl import reference_scenario, run_simulation
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    saved_path = list(sys.path)
+    saved_bytecode = sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_bytecode
+        sys.modules.pop("perfbench_run", None)
+        sys.modules.pop("tracer", None)
+
+
+def test_every_traced_name_resolves(bench):
+    targets = bench.layer_targets(lwrvsl)
+    assert len(targets) == len(bench.LAYER_FUNCTIONS)
+    assert all(callable(fn) for fn in targets.values())
+
+
+@pytest.mark.parametrize("model", ["linear", "nonlinear"])
+def test_cell_updates_count_every_step(bench, model):
+    targets = bench.layer_targets(lwrvsl)
+    tracer = bench.Tracer(
+        "lwrvsl", {name: targets[name] for name in bench.STEPPERS}, bench.LAYER_COUNTERS
+    )
+    scenario = reference_scenario(model=model, n_cells=16, sim_time=4.0)
+    traced = tracer.run_op(lambda: run_simulation(scenario))
+    layers = tracer.op_layers(0)
+    steps = sum(layers[name][0] for name in bench.STEPPERS)
+    assert steps > 0
+    assert tracer.op_counters(0)["solvers.cell_updates"] == steps * scenario.grid.n_cells
+    plain = run_simulation(scenario)
+    assert traced.total_cars_series.tobytes() == plain.total_cars_series.tobytes()

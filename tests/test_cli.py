@@ -49,10 +49,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["simulate", "sweep", "riccati"])
     def test_bad_q0_is_config_error(self, command, config_file, tmp_path, capsys):
         out = tmp_path / "out"
-        rc = main([command, "--config", str(config_file), "--out", str(out), "--q0", "-1"])
-        assert rc == 1
-        assert "config error:" in capsys.readouterr().err
-        assert not out.exists()
+        for q0 in ("-1", "nan", "inf"):
+            rc = main([command, "--config", str(config_file), "--out", str(out), "--q0", q0])
+            assert rc == 1, q0
+            assert "config error:" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1
@@ -203,6 +204,21 @@ class TestSweep:
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["q0_values"] == [5e-5]
         assert list(summary["failures"]) == ["1000"]
+
+    @pytest.mark.parametrize("blocked", ["total_cars_sweep.csv", "sweep_summary.json"])
+    def test_combined_file_write_failure(self, blocked, config_file, tmp_path, capsys):
+        # a directory in the way of one combined file: exit 2, no traceback,
+        # and none of the combined files is left behind
+        out = tmp_path / "sweep"
+        (out / blocked).mkdir(parents=True)
+        rc = main(["sweep", "--config", str(config_file), "--out", str(out), "--q0", "5e-5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "write failure" in err
+        assert "Traceback" not in err
+        assert (out / "q0_5e-05" / "summary.json").is_file()
+        combined = {"total_cars_sweep.csv", "sweep_summary.json", "total_cars_sweep.svg"}
+        assert {p.name for p in out.iterdir()} & combined == {blocked}
 
     def test_empty_member_list_is_usage_error(self, capsys):
         config = parse_config(TINY_CONFIG)

@@ -144,12 +144,18 @@ class TestRejection:
             _parse("params: {rho_0_per_km: 90}\n")
         with pytest.raises(ConfigError, match="straddle"):
             _parse("control: {b_min: 1.5}\n")
+        with pytest.raises(ConfigError, match="straddle"):
+            _parse("control: {b_min: -0.5}\n")
         with pytest.raises(ConfigError, match="free-flow band"):
             _parse("scenario: {ic_amplitude_per_km: 50}\n")
         with pytest.raises(ConfigError, match="q0"):
             _parse("control: {q0: 0}\n")
         with pytest.raises(ConfigError, match="r0"):
             _parse("control: {r0: 0}\n")
+        with pytest.raises(ConfigError, match="q0"):
+            _parse("control: {q0: .nan}\n")
+        with pytest.raises(ConfigError, match="r0"):
+            _parse("control: {r0: .inf}\n")
 
     def test_numerics_validation(self):
         with pytest.raises(ConfigError, match="n_cells"):
@@ -166,6 +172,8 @@ class TestRejection:
             _parse("output: {dir: ''}\n")
         with pytest.raises(ConfigError, match="cadence"):
             _parse("output: {cadence_s: 0}\n")
+        with pytest.raises(ConfigError, match="cadence"):
+            _parse("output: {cadence_s: .nan}\n")
 
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigError, match="must be a mapping"):

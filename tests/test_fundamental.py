@@ -45,14 +45,6 @@ class TestEquilibriumSpeed:
         assert speeds[0] == PARAMS.u_max
         assert speeds[2] == 0.0
 
-    def test_rejects_out_of_range_density(self):
-        with pytest.raises(ValueError, match="solver bug"):
-            equilibrium_speed(-0.001, PARAMS)
-        with pytest.raises(ValueError, match="solver bug"):
-            equilibrium_speed(0.161, PARAMS)
-        with pytest.raises(ValueError):
-            equilibrium_speed(np.array([0.05, 0.2]), PARAMS)
-
 
 class TestVslSpeed:
     def test_scales_equilibrium_speed(self):
@@ -63,12 +55,6 @@ class TestVslSpeed:
 
     def test_zero_rate_halts_traffic(self):
         assert vsl_speed(0.05, 0.0, PARAMS) == 0.0
-
-    def test_rejects_negative_rate(self):
-        with pytest.raises(ValueError):
-            vsl_speed(0.05, -0.1, PARAMS)
-        with pytest.raises(ValueError):
-            vsl_speed(0.05, np.array([1.0, -1.0]), PARAMS)
 
     def test_broadcasts_rate_array(self):
         rates = np.array([0.5, 1.0, 2.0])

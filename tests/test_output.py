@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from lwrvsl import (
+    absolute_density,
     reference_scenario,
     run_simulation,
-    to_absolute,
     write_riccati_artifacts,
     write_run_artifacts,
 )
@@ -78,9 +78,15 @@ class TestCsvWriters:
 
     def test_total_cars_csv(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_total_cars_csv(path, np.array([0.0, 1.0]), np.array([100.0, 101.5]))
+        write_total_cars_csv(
+            path, np.array([0.0, 1.0]), {"total_cars": np.array([100.0, 101.5])}
+        )
         lines = path.read_text().splitlines()
         assert lines == ["t_s,total_cars", "0,100", "1,101.5"]
+        write_total_cars_csv(
+            path, np.array([0.0]), {"a[q0=1]": np.array([2.0]), "b": np.array([0.5])}
+        )
+        assert path.read_text() == "t_s,a[q0=1],b\n0,2,0.5\n"
 
 
 class TestJsonWriter:
@@ -204,7 +210,7 @@ class TestRunArtifacts:
         assert len(lines) == 1 + len(history.times)
         first_row = [float(cell) for cell in lines[1].split(",")]
         assert first_row[0] == 0.0
-        expected = to_absolute(history.density_frames[0], scenario.params).values * 1000.0
+        expected = absolute_density(scenario, history)[0] * 1000.0
         assert np.array_equal(np.array(first_row[1:]), expected)
 
     def test_vsl_csv_covers_interfaces(self, linear_run, tmp_path):
