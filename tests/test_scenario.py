@@ -158,15 +158,6 @@ class TestTotals:
         scenario = reference_scenario()
         assert target_cars(scenario.params) == 100.0
 
-    def test_absolute_density_shifts_linear_frames_only(self):
-        for model, shift in (("linear", 0.05), ("nonlinear", 0.0)):
-            scenario = _tiny(model=model)
-            history = run_simulation(scenario, frame_interval=2.0)
-            absolute = absolute_density(scenario, history)
-            assert absolute.shape == (4, 20)
-            for row, frame in zip(absolute, history.density_frames):
-                assert row.tobytes() == (frame + shift).tobytes()
-
 
 def _history(times, totals):
     n = len(times)

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lwrvsl import (
+    SimulationHistory,
     SolverError,
     TrafficParams,
+    absolute_density,
     apply_boundary,
     flux,
     godunov_interface_flux,
     make_grid,
+    reference_scenario,
     step_linear,
     step_nonlinear,
 )
@@ -29,6 +32,37 @@ RHO_C = 0.08
 FREE_WAVE = 11.979166666666666
 
 densities = st.floats(min_value=0.0, max_value=0.16, allow_nan=False)
+
+
+def _frames_history(frames):
+    n = len(frames)
+    zeros = np.zeros(len(frames[0]) + 1)
+    return SimulationHistory(
+        times=np.arange(n, dtype=float),
+        density_frames=tuple(frames),
+        speed_frames=(zeros,) * n,
+        vsl_frames=(zeros,) * n,
+        control_frames=(zeros,) * n,
+        total_cars_series=np.zeros(n),
+        inflow_cars=0.0,
+        outflow_cars=0.0,
+    )
+
+
+class TestToAbsolute:
+    def test_shifts_perturbations(self):
+        scenario = reference_scenario(model="linear")
+        frames = (np.array([0.01, -0.01]), np.array([0.0, 0.02]))
+        absolute = absolute_density(scenario, _frames_history(frames))
+        assert absolute.shape == (2, 2)
+        for row, frame in zip(absolute, frames):
+            assert np.array_equal(row, frame + scenario.params.rho_0)
+
+    def test_absolute_passes_through(self):
+        scenario = reference_scenario(model="nonlinear")
+        frames = (np.array([0.05, 0.04]), np.array([0.06, 0.05]))
+        absolute = absolute_density(scenario, _frames_history(frames))
+        assert np.array_equal(absolute, np.stack(frames))
 
 
 class TestApplyBoundary:
