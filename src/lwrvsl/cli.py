@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import FORMATS, ConfigError, RunConfig, parse_config
 from .output import write_riccati_artifacts, write_run_artifacts, write_sweep_artifacts
-from .scenario import REFERENCE_Q0_VALUES, run_simulation, sweep_q0
+from .scenario import REFERENCE_Q0_VALUES, q0_label, run_simulation, sweep_q0
 from .solvers import SolverError
 from .verify import run_all_checks
 
@@ -128,7 +128,7 @@ def cmd_sweep(config: RunConfig, q0_list: list[float]) -> int:
     out = Path(config.output_dir)
     written = []
     for member in members:
-        label = f"{member.q0:g}"
+        label = q0_label(member.q0)
         try:
             write_run_artifacts(
                 out / f"q0_{label}",

@@ -16,7 +16,6 @@ import yaml
 from .params import make_grid, params_from_paper_units, require_positive
 from .riccati import DEFAULT_B_CLAMP
 from .scenario import (
-    MODELS,
     REFERENCE_BC_OSC_AMPLITUDE,
     REFERENCE_BC_OSC_PERIOD,
     REFERENCE_CADENCE,
@@ -123,14 +122,13 @@ def _flag(section: str, key: str, value: object) -> bool:
     return value
 
 
-def _choice(section: str, key: str, value: object, options: tuple[str, ...]) -> str:
-    if value not in options:
-        raise ConfigError(f"{section}.{key} must be one of {options}, got {value!r}")
-    return str(value)
-
-
 def parse_config(text: str) -> RunConfig:
-    """Parse a YAML document into a RunConfig, applying defaults."""
+    """Parse a YAML document into a RunConfig, applying defaults.
+
+    Keys and value types are checked here. Each value's range is checked
+    once, by what it is passed to (TrafficParams, make_grid, boundary_ramp,
+    Scenario, RunConfig), and their ValueError is raised as ConfigError.
+    """
     try:
         document = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -148,26 +146,25 @@ def parse_config(text: str) -> RunConfig:
         section: _merge_section(section, document.get(section, {}))
         for section in _SCHEMA
     }
-
-    par = merged["params"]
     try:
-        params = params_from_paper_units(
-            **{key: _number("params", key, value) for key, value in par.items()}
-        )
+        return _run_config(merged)
     except ValueError as exc:
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(str(exc)) from None
+
+
+def _run_config(merged: dict[str, dict]) -> RunConfig:
+    par = merged["params"]
+    params = params_from_paper_units(
+        **{key: _number("params", key, value) for key, value in par.items()}
+    )
 
     num = merged["numerics"]
-    n_cells = _count("numerics", "n_cells", num["n_cells"])
-    cfl = _number("numerics", "cfl", num["cfl"])
-    try:
-        grid = make_grid(params.road_length, n_cells)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = make_grid(params.road_length, _count("numerics", "n_cells", num["n_cells"]))
 
     scn = merged["scenario"]
-    reading = _choice("scenario", "bc_reading", scn["bc_reading"], ("km", "m"))
-    bc_decay_rate, bc_growth_rate = boundary_ramp(reading, params.road_length)
+    bc_decay_rate, bc_growth_rate = boundary_ramp(scn["bc_reading"], params.road_length)
     if scn["bc_decay_rate_per_s"] is not None:
         bc_decay_rate = _number("scenario", "bc_decay_rate_per_s", scn["bc_decay_rate_per_s"])
     if scn["bc_growth_rate_per_km_s"] is not None:
@@ -176,54 +173,38 @@ def parse_config(text: str) -> RunConfig:
         )
 
     ctl = merged["control"]
-    try:
-        scenario = Scenario(
-            params=params,
-            grid=grid,
-            q0=_number("control", "q0", ctl["q0"]),
-            bc_decay_rate=bc_decay_rate,
-            bc_growth_rate=bc_growth_rate,
-            ic_amplitude=_number("scenario", "ic_amplitude_per_km", scn["ic_amplitude_per_km"]),
-            bc_osc_amplitude=_number(
-                "scenario", "bc_osc_amplitude_per_km", scn["bc_osc_amplitude_per_km"]
-            ),
-            bc_osc_period=_number("scenario", "bc_osc_period_s", scn["bc_osc_period_s"]),
-            r0=_number("control", "r0", ctl["r0"]),
-            control_enabled=_flag("control", "enabled", ctl["enabled"]),
-            model=_choice("scenario", "model", scn["model"], MODELS),
-            clamp=(
-                _number("control", "b_min", ctl["b_min"]),
-                _number("control", "b_max", ctl["b_max"]),
-            ),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+    scenario = Scenario(
+        params=params,
+        grid=grid,
+        q0=_number("control", "q0", ctl["q0"]),
+        bc_decay_rate=bc_decay_rate,
+        bc_growth_rate=bc_growth_rate,
+        ic_amplitude=_number("scenario", "ic_amplitude_per_km", scn["ic_amplitude_per_km"]),
+        bc_osc_amplitude=_number(
+            "scenario", "bc_osc_amplitude_per_km", scn["bc_osc_amplitude_per_km"]
+        ),
+        bc_osc_period=_number("scenario", "bc_osc_period_s", scn["bc_osc_period_s"]),
+        r0=_number("control", "r0", ctl["r0"]),
+        control_enabled=_flag("control", "enabled", ctl["enabled"]),
+        model=scn["model"],
+        clamp=(
+            _number("control", "b_min", ctl["b_min"]),
+            _number("control", "b_max", ctl["b_max"]),
+        ),
+    )
 
     out = merged["output"]
     formats = out["formats"]
     if isinstance(formats, str):
         formats = [formats]
-    if not isinstance(formats, (list, tuple)) or len(formats) == 0:
-        raise ConfigError("output.formats must be a non-empty list")
-    seen: list[str] = []
-    for entry in formats:
-        if entry not in FORMATS:
-            raise ConfigError(f"output.formats entries must be in {FORMATS}, got {entry!r}")
-        if entry not in seen:
-            seen.append(str(entry))
+    if not isinstance(formats, list):
+        raise ConfigError(f"output.formats must be a list, got {formats!r}")
     if not isinstance(out["dir"], str) or not out["dir"]:
         raise ConfigError("output.dir must be a non-empty string")
-    try:
-        return RunConfig(
-            scenario=scenario,
-            cfl=cfl,
-            output_dir=out["dir"],
-            output_cadence=_number("output", "cadence_s", out["cadence_s"]),
-            formats=tuple(seen),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+    return RunConfig(
+        scenario=scenario,
+        cfl=_number("numerics", "cfl", num["cfl"]),
+        output_dir=out["dir"],
+        output_cadence=_number("output", "cadence_s", out["cadence_s"]),
+        formats=tuple(f for i, f in enumerate(formats) if f not in formats[:i]),
+    )

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fundamental import vsl_speed
 from .params import KMH_PER_MPS, M_PER_KM
 from .riccati import assemble_problem, feedback_gain, phi_closed_form
 from .scenario import (
@@ -24,6 +25,8 @@ from .scenario import (
     SweepResult,
     absolute_density,
     mass_balance_defect,
+    q0_label,
+    q0_members,
     target_cars,
     time_to_target,
 )
@@ -41,11 +44,14 @@ _COLORMAP_ANCHORS = (
     (253, 231, 37),
 )
 
+_PALETTE_SIZE = 64  # colors of the heatmap scale
+_TICK_COUNT = 5  # labelled ticks per plot axis
 
-def _build_palette(n: int = 64) -> tuple[str, ...]:
+
+def _build_palette() -> tuple[str, ...]:
     colors = []
-    for i in range(n):
-        x = i / (n - 1) * (len(_COLORMAP_ANCHORS) - 1)
+    for i in range(_PALETTE_SIZE):
+        x = i / (_PALETTE_SIZE - 1) * (len(_COLORMAP_ANCHORS) - 1)
         j = min(int(x), len(_COLORMAP_ANCHORS) - 2)
         frac = x - j
         rgb = tuple(
@@ -164,8 +170,8 @@ def _text(x: float, y: float, content: str, anchor: str = "middle", extra: str =
     )
 
 
-def _ticks(low: float, high: float, count: int = 5) -> np.ndarray:
-    return np.linspace(low, high, count)
+def _ticks(low: float, high: float) -> np.ndarray:
+    return np.linspace(low, high, _TICK_COUNT)
 
 
 def svg_heatmap(
@@ -346,11 +352,16 @@ def write_run_artifacts(
     cfl: float,
     cadence: float,
 ) -> list[Path]:
-    """Write the per-run file set; on failure remove partial files."""
+    """Write the per-run file set; on failure remove partial files.
+
+    The speed per cell is b u_max (1 - rho/rho_max), with b averaged from
+    the two interfaces of the cell.
+    """
     grid = scenario.grid
-    density = absolute_density(scenario, history) * M_PER_KM
-    speed = np.stack(history.speed_frames) * KMH_PER_MPS
+    absolute = absolute_density(scenario, history)
     vsl = np.stack(history.vsl_frames)
+    density = absolute * M_PER_KM
+    speed = vsl_speed(absolute, 0.5 * (vsl[:, :-1] + vsl[:, 1:]), scenario.params) * KMH_PER_MPS
     control = np.stack(history.control_frames)
 
     with _artifact_set(out_dir) as (written, reserve):
@@ -409,21 +420,22 @@ def write_sweep_artifacts(
         if "csv" in formats:
             write_total_cars_csv(
                 reserve("total_cars_sweep.csv"), times,
-                {f"total_cars[q0={m.q0:g}]": m.history.total_cars_series for m in members},
+                {f"total_cars[q0={q0_label(m.q0)}]": m.history.total_cars_series
+                 for m in members},
             )
         if "json" in formats:
             payload = {
                 "q0_values": [m.q0 for m in members],
                 "target_cars": target_cars(scenario.params),
-                "final_total_cars": {f"{m.q0:g}": m.final_total_cars for m in members},
-                "time_to_target_s": {f"{m.q0:g}": m.time_to_target for m in members},
+                "final_total_cars": {q0_label(m.q0): m.final_total_cars for m in members},
+                "time_to_target_s": {q0_label(m.q0): m.time_to_target for m in members},
                 "failures": failures,
             }
             write_json(reserve("sweep_summary.json"), payload)
         if "svg" in formats:
             svg_lineplot(
                 reserve("total_cars_sweep.svg"), times,
-                [(f"q0={m.q0:g}", m.history.total_cars_series) for m in members],
+                [(f"q0={q0_label(m.q0)}", m.history.total_cars_series) for m in members],
                 title="Total cars on the road section", x_label="t [s]", y_label="total cars",
             )
     return written
@@ -435,20 +447,24 @@ def write_riccati_artifacts(
     q0_values: list[float],
     formats: tuple[str, ...],
 ) -> list[Path]:
-    """Phi and gain profiles per q0: CSV columns, JSON endpoints, SVG curves."""
+    """Phi and gain profiles per q0: CSV columns, JSON endpoints, SVG curves.
+
+    q0_members checks q0_values before anything is written.
+    """
     z = scenario.grid.interfaces
     profiles = []
-    for q0 in q0_values:
-        problem = assemble_problem(scenario.params, q0, scenario.r0)
-        profiles.append((q0, phi_closed_form(z, problem), feedback_gain(z, problem)))
+    for member in q0_members(scenario, q0_values):
+        problem = assemble_problem(member.params, member.q0, member.r0)
+        label = q0_label(member.q0)
+        profiles.append((label, phi_closed_form(z, problem), feedback_gain(z, problem)))
 
     with _artifact_set(out_dir) as (written, reserve):
         if "csv" in formats:
             with open(reserve("riccati.csv"), "w", newline="\n") as fh:
                 header = ["z_m"]
-                for q0, _, _ in profiles:
-                    header.append(f"phi[q0={q0:.6g}]")
-                    header.append(f"k0_per_m[q0={q0:.6g}]")
+                for label, _, _ in profiles:
+                    header.append(f"phi[q0={label}]")
+                    header.append(f"k0_per_m[q0={label}]")
                 fh.write(",".join(header) + "\n")
                 for i, zi in enumerate(z):
                     row = [fmt_float(zi)]
@@ -459,20 +475,20 @@ def write_riccati_artifacts(
         if "json" in formats:
             payload = {
                 "q0_values": list(q0_values),
-                "phi_at_0": {f"{q0:.6g}": float(phi[0]) for q0, phi, _ in profiles},
-                "gain_at_0_per_m": {f"{q0:.6g}": float(g[0]) for q0, _, g in profiles},
+                "phi_at_0": {label: float(phi[0]) for label, phi, _ in profiles},
+                "gain_at_0_per_m": {label: float(g[0]) for label, _, g in profiles},
                 "road_length_m": scenario.params.road_length,
             }
             write_json(reserve("riccati_summary.json"), payload)
         if "svg" in formats:
             svg_lineplot(
                 reserve("riccati_phi.svg"), z,
-                [(f"q0={q0:.6g}", phi) for q0, phi, _ in profiles],
+                [(f"q0={label}", phi) for label, phi, _ in profiles],
                 title="State feedback function Phi(z)", x_label="z [m]", y_label="Phi",
             )
             svg_lineplot(
                 reserve("riccati_gain.svg"), z,
-                [(f"q0={q0:.6g}", gain) for q0, _, gain in profiles],
+                [(f"q0={label}", gain) for label, _, gain in profiles],
                 title="Feedback gain K0(z)", x_label="z [m]", y_label="K0 [1/m]",
             )
     return written

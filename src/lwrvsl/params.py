@@ -29,8 +29,9 @@ class TrafficParams:
 
     rho_max: jam density [cars/m]
     u_max: free-flow speed [m/s]
-    rho_0: equilibrium density [cars/m]; must lie strictly below rho_max/2
-        (free-flow regime), otherwise the linearized plant is not stabilizable
+    rho_0: equilibrium density [cars/m]; must lie in (0, rho_max/2), the
+        free-flow regime, where the linearized plant has V < 0 and B0 < 0
+        and is stabilizable
     b_0: base VSL rate (dimensionless multiplier on u_max)
     road_length: [m]
     sim_time: [s]
@@ -44,10 +45,8 @@ class TrafficParams:
     sim_time: float
 
     def __post_init__(self) -> None:
-        for name in ("rho_max", "u_max", "road_length", "sim_time", "b_0"):
+        for name in ("rho_max", "u_max", "rho_0", "road_length", "sim_time", "b_0"):
             require_positive(name, getattr(self, name))
-        if not self.rho_0 >= 0:
-            raise ValueError("rho_0 must be non-negative")
         if self.rho_0 >= self.rho_max / 2:
             raise ValueError(
                 "congested equilibrium: rho_0 must be below rho_max/2 "
@@ -85,16 +84,10 @@ def params_from_paper_units(
     sim_time_s: float,
     b_0: float = 1.0,
 ) -> TrafficParams:
-    """Build TrafficParams from road-engineering units (cars/km, km/h)."""
-    for name, value in (
-        ("rho_max_per_km", rho_max_per_km),
-        ("u_max_kph", u_max_kph),
-        ("rho_0_per_km", rho_0_per_km),
-        ("road_length_m", road_length_m),
-        ("sim_time_s", sim_time_s),
-        ("b_0", b_0),
-    ):
-        require_positive(name, value)
+    """Build TrafficParams from road-engineering units (cars/km, km/h).
+
+    Converts only; TrafficParams checks the converted values.
+    """
     return TrafficParams(
         rho_max=rho_max_per_km / M_PER_KM,
         u_max=u_max_kph / KMH_PER_MPS,

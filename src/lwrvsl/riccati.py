@@ -29,14 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundamental import characteristic_speed, flux
-from .params import Grid1D, TrafficParams, require_positive
+from .params import Grid1D, TrafficParams
 
 DEFAULT_B_CLAMP = (0.1, 2.0)
 
 
 @dataclass(frozen=True)
 class RiccatiProblem:
-    """Scalar coefficients of the LQ problem on [0, length]."""
+    """Scalar coefficients of the LQ problem on [0, length].
+
+    The fields are not checked here. assemble_problem builds them from a
+    TrafficParams, whose free-flow equilibrium gives V < 0, B0 < 0 and
+    length > 0, and from weights that Scenario has checked (q0, r0 > 0).
+    """
 
     v_coef: float
     b0_coef: float
@@ -44,30 +49,12 @@ class RiccatiProblem:
     r0: float
     length: float
 
-    def __post_init__(self) -> None:
-        if not self.v_coef < 0.0:
-            raise ValueError("v_coef must be negative (transport toward z = L)")
-        if self.b0_coef > 0.0:
-            raise ValueError("b0_coef must be non-positive for the traffic plant")
-        if self.q0 < 0.0:
-            raise ValueError("q0 must be non-negative")
-        if self.r0 <= 0.0:
-            raise ValueError("r0 must be positive")
-        if self.length <= 0.0:
-            raise ValueError("length must be positive")
-
 
 def assemble_problem(params: TrafficParams, q0: float, r0: float = 1.0) -> RiccatiProblem:
     """Build the scalar LQ coefficients from the traffic equilibrium."""
-    require_positive("q0", q0)
-    require_positive("r0", r0)
-    v_coef = -characteristic_speed(params.rho_0, params.b_0, params)
-    if v_coef >= 0.0:
-        raise ValueError("V >= 0: uncontrollable setup (requires rho_0 < rho_max/2)")
-    b0_coef = -flux(params.rho_0, 1.0, params)
     return RiccatiProblem(
-        v_coef=v_coef,
-        b0_coef=b0_coef,
+        v_coef=-characteristic_speed(params.rho_0, params.b_0, params),
+        b0_coef=-flux(params.rho_0, 1.0, params),
         q0=q0,
         r0=r0,
         length=params.road_length,
@@ -78,16 +65,12 @@ def phi_closed_form(z: np.ndarray | float, problem: RiccatiProblem) -> np.ndarra
     """Evaluate the closed-form Riccati solution Phi(z).
 
     Phi(L) = 0 exactly (the numerator vanishes bit-exactly at z = L),
-    Phi >= 0 on [0, L], and Phi is non-increasing in z. The degenerate B0 = 0 case
-    integrates V dPhi/dz = Q0 directly: Phi = Q0 (L - z) / |V|.
+    Phi >= 0 on [0, L], and Phi is non-increasing in z.
     """
     z_arr = np.asarray(z, dtype=float)
-    if problem.b0_coef == 0.0:
-        phi = problem.q0 * (problem.length - z_arr) / abs(problem.v_coef)
-    else:
-        rate = 2.0 * problem.b0_coef * math.sqrt(problem.q0 / problem.r0)
-        e = np.exp(rate * (z_arr - problem.length) / problem.v_coef)
-        phi = math.sqrt(problem.q0 * problem.r0) * (1.0 - e) / (-problem.b0_coef * (e + 1.0))
+    rate = 2.0 * problem.b0_coef * math.sqrt(problem.q0 / problem.r0)
+    e = np.exp(rate * (z_arr - problem.length) / problem.v_coef)
+    phi = math.sqrt(problem.q0 * problem.r0) * (1.0 - e) / (-problem.b0_coef * (e + 1.0))
     if np.ndim(z) == 0:
         return float(phi)
     return phi

@@ -12,18 +12,19 @@ and the chosen plant (linear perturbation transport or nonlinear LWR)
 advances one explicit step. The nonlinear plant reuses the linear
 feedback law on its live perturbation rho - rho_0.
 
-Scenario validates a run's inputs once, at entry; the loop passes plain
-arrays and checks only the CFL condition and each step's density bound.
+Scenario validates a run's inputs once, at entry, and q0_members does
+the same for a list of q0 values; the loop passes plain arrays and
+checks only the CFL condition and each step's density bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import vsl_speed
 from .params import (
     M_PER_KM, Grid1D, TrafficParams, make_grid, params_from_paper_units, require_positive,
 )
@@ -54,6 +55,8 @@ REFERENCE_N_CELLS = 400
 REFERENCE_CFL = 0.9
 REFERENCE_CADENCE = 0.5  # s
 REFERENCE_Q0_VALUES = (1e-6, 1e-5, 5e-5, 5e-4)
+# regulation band: the car count counts as on target within 5% of rho_0 * L
+TARGET_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,9 @@ class Scenario:
         require_positive("q0", self.q0)
         require_positive("r0", self.r0)
         require_positive("bc_osc_period", self.bc_osc_period)
+        for name in ("ic_amplitude", "bc_osc_amplitude", "bc_growth_rate", "bc_decay_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.bc_decay_rate < 0.0:
             raise ValueError("bc_decay_rate must be non-negative")
         b_min, b_max = self.clamp
@@ -122,16 +128,16 @@ class SimulationHistory:
     times. density_frames hold the plant's native kind, cars/m per cell:
     the perturbation rho - rho_0 for the linear model, the absolute
     density for the nonlinear one (absolute_density converts them all at
-    once). speed_frames are m/s per cell, vsl_frames the dimensionless b
-    per interface, control_frames db/dz per interface. inflow_cars and
-    outflow_cars accumulate the time-integrated boundary interface fluxes
-    of the solver. The frame tuples are left out of the repr, which would
-    otherwise print every cell of every frame.
+    once). vsl_frames hold the dimensionless b per interface and
+    control_frames db/dz per interface; the writer derives the speed from
+    density and b. inflow_cars and outflow_cars accumulate the
+    time-integrated boundary interface fluxes of the solver. The frame
+    tuples are left out of the repr, which would otherwise print every
+    cell of every frame.
     """
 
     times: np.ndarray
     density_frames: tuple[np.ndarray, ...] = dataclasses.field(repr=False)
-    speed_frames: tuple[np.ndarray, ...] = dataclasses.field(repr=False)
     vsl_frames: tuple[np.ndarray, ...] = dataclasses.field(repr=False)
     control_frames: tuple[np.ndarray, ...] = dataclasses.field(repr=False)
     total_cars_series: np.ndarray
@@ -142,12 +148,7 @@ class SimulationHistory:
         times = np.array(self.times, dtype=float)
         totals = np.array(self.total_cars_series, dtype=float)
         n = times.size
-        frame_sets = (
-            self.density_frames,
-            self.speed_frames,
-            self.vsl_frames,
-            self.control_frames,
-        )
+        frame_sets = (self.density_frames, self.vsl_frames, self.control_frames)
         if any(len(frames) != n for frames in frame_sets) or totals.size != n:
             raise ValueError("all frame sequences must share the length of times")
         times.setflags(write=False)
@@ -273,13 +274,13 @@ def target_cars(params: TrafficParams) -> float:
     return params.rho_0 * params.road_length
 
 
-def time_to_target(history: SimulationHistory, target: float, tolerance: float = 0.05) -> float | None:
-    """First recorded time from which total cars stays within tolerance*target.
+def time_to_target(history: SimulationHistory, target: float) -> float | None:
+    """First recorded time from which total cars stays within TARGET_TOLERANCE*target.
 
     Returns None when the series never settles into the band through the
     end of the run.
     """
-    within = np.abs(history.total_cars_series - target) <= tolerance * target
+    within = np.abs(history.total_cars_series - target) <= TARGET_TOLERANCE * target
     if bool(within.all()):
         return float(history.times[0])
     bad = np.flatnonzero(~within)
@@ -312,7 +313,7 @@ def run_simulation(
     field (when enabled). The step size is fixed from the worst-case wave
     speed b_cap * u_max (b_cap being the clamp ceiling when control is
     on, else b_0) and shortened only to land exactly on frame instants.
-    Frames record density, speed, VSL rate, control, and total cars every
+    Frames record density, VSL rate, control, and total cars every
     frame_interval seconds.
     """
     require_positive("frame_interval", frame_interval)
@@ -343,7 +344,6 @@ def run_simulation(
 
     times: list[float] = []
     density_frames: list[np.ndarray] = []
-    speed_frames: list[np.ndarray] = []
     vsl_frames: list[np.ndarray] = []
     control_frames: list[np.ndarray] = []
     totals: list[float] = []
@@ -351,15 +351,12 @@ def run_simulation(
     outflow = 0.0
 
     def record(t: float, values: np.ndarray, u_opt: np.ndarray, b_profile: np.ndarray) -> None:
-        absolute = values + p.rho_0 if linear else values
-        b_cells = 0.5 * (b_profile[:-1] + b_profile[1:])
         values.setflags(write=False)
         times.append(t)
         density_frames.append(values)
-        speed_frames.append(vsl_speed(absolute, b_cells, p))
         vsl_frames.append(b_profile)
         control_frames.append(u_opt)
-        totals.append(total_cars(absolute, grid))
+        totals.append(total_cars(values + p.rho_0 if linear else values, grid))
 
     u_opt, b_profile = controls(state)
     record(0.0, state, u_opt, b_profile)
@@ -393,13 +390,33 @@ def run_simulation(
     return SimulationHistory(
         times=np.array(times),
         density_frames=tuple(density_frames),
-        speed_frames=tuple(speed_frames),
         vsl_frames=tuple(vsl_frames),
         control_frames=tuple(control_frames),
         total_cars_series=np.array(totals),
         inflow_cars=inflow,
         outflow_cars=outflow,
     )
+
+
+def q0_label(q0: float) -> str:
+    """The name of a q0 in artifact paths, column headers and summary keys."""
+    return f"{q0:g}"
+
+
+def q0_members(scenario: Scenario, q0_list: list[float]) -> list[Scenario]:
+    """One Scenario per q0 of a sweep or curve family, all checked up front.
+
+    Raises ValueError for an empty list, for a q0 that Scenario rejects,
+    and for two q0 values with the same q0_label, whose artifacts would
+    overwrite each other.
+    """
+    if len(q0_list) == 0:
+        raise ValueError("a non-empty q0 list is required")
+    members = [dataclasses.replace(scenario, q0=q0) for q0 in q0_list]
+    labels = [q0_label(q0) for q0 in q0_list]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"q0 values {list(q0_list)} share labels {labels}; outputs collide")
+    return members
 
 
 def sweep_q0(
@@ -410,24 +427,20 @@ def sweep_q0(
 ) -> tuple[list[SweepResult], dict[str, str]]:
     """Run one simulation per q0, identical otherwise.
 
-    Every q0 is checked before any run starts; a bad one raises
-    ValueError. A member whose run raises SolverError or ValueError is
-    recorded under f"{q0:g}" with its message, and the other members run
-    as before. Returns the members that ran, each with its final car
-    count and the time after which the count stays within 5% of the
-    target, and the failures.
+    q0_members checks the list before any run starts. A member whose run
+    raises SolverError or ValueError is recorded under its q0_label with
+    its message, and the other members run as before. Returns the members
+    that ran, each with its final car count and time_to_target, and the
+    failures.
     """
-    if len(q0_list) == 0:
-        raise ValueError("sweep needs a non-empty q0 list")
-    members = [dataclasses.replace(scenario, q0=q0) for q0 in q0_list]
     target = target_cars(scenario.params)
     results = []
     failures: dict[str, str] = {}
-    for member in members:
+    for member in q0_members(scenario, q0_list):
         try:
             history = run_simulation(member, frame_interval, cfl)
         except (SolverError, ValueError) as exc:
-            failures[f"{member.q0:g}"] = str(exc)
+            failures[q0_label(member.q0)] = str(exc)
             continue
         results.append(
             SweepResult(

@@ -24,6 +24,7 @@ from .scenario import (
     REFERENCE_Q0_VALUES,
     absolute_density,
     mass_balance_defect,
+    q0_label,
     reference_scenario,
     run_simulation,
 )
@@ -38,6 +39,15 @@ LINEARIZATION_RANGE = (3.0, 5.0)
 # smooth compactly supported bump used by the convergence studies
 BUMP_START = 400.0
 BUMP_WIDTH = 1200.0
+# the convergence studies: grids, Courant number, and per plant the final
+# time and bump amplitude (cars/m); the nonlinear bump is small enough that
+# no shock forms before its final time
+CONVERGENCE_CELLS = (100, 200, 400)
+CONVERGENCE_CFL = 0.5
+LINEAR_FINAL_TIME, LINEAR_AMPLITUDE = 20.0, 0.01
+NONLINEAR_FINAL_TIME, NONLINEAR_AMPLITUDE = 30.0, 0.004
+# amplitude scales of the linearization study, halving each time
+LINEARIZATION_SCALES = (1.0, 0.5, 0.25)
 
 
 @dataclass(frozen=True)
@@ -103,7 +113,7 @@ def check_oracle_equivalence() -> CheckResult:
         z, phi_oracle = phi_numeric_oracle(problem, 100_000)
         phi = phi_closed_form(z, problem)
         error = float(np.max(np.abs(phi - phi_oracle)) / np.max(phi))
-        details.append(f"q0={q0:g}: {error:.3e}")
+        details.append(f"q0={q0_label(q0)}: {error:.3e}")
         worst = max(worst, error)
     return CheckResult(
         name="riccati-oracle",
@@ -143,23 +153,19 @@ def _bump_slope(z: np.ndarray, amplitude: float) -> np.ndarray:
     )
 
 
-def linear_convergence_l1_errors(
-    n_cells_list: tuple[int, ...],
-    final_time: float = 20.0,
-    amplitude: float = 0.01,
-    cfl: float = 0.5,
-) -> list[float]:
+def linear_convergence_l1_errors(n_cells_list: tuple[int, ...]) -> list[float]:
     """L1 errors of the upwind perturbation solver on a transported bump.
 
     Zero boundary perturbation; the exact solution is the bump advected
     at the frozen speed |V|.
     """
+    final_time, amplitude = LINEAR_FINAL_TIME, LINEAR_AMPLITUDE
     params = reference_scenario(sim_time=final_time).params
     speed = characteristic_speed(params.rho_0, params.b_0, params)
     errors = []
     for n_cells in n_cells_list:
         grid = make_grid(params.road_length, n_cells)
-        n_steps = math.ceil(final_time / (cfl * grid.dz / speed))
+        n_steps = math.ceil(final_time / (CONVERGENCE_CFL * grid.dz / speed))
         dt = final_time / n_steps
         state = _bump(grid.cell_centers, amplitude)
         zeros = np.zeros(grid.n_cells + 1)
@@ -192,19 +198,15 @@ def _nonlinear_exact(
     return params.rho_0 + _bump(foot, amplitude)
 
 
-def nonlinear_convergence_l1_errors(
-    n_cells_list: tuple[int, ...],
-    final_time: float = 30.0,
-    amplitude: float = 0.004,
-    cfl: float = 0.5,
-) -> list[float]:
+def nonlinear_convergence_l1_errors() -> list[float]:
     """L1 errors of the Godunov solver against the characteristics oracle."""
+    final_time, amplitude = NONLINEAR_FINAL_TIME, NONLINEAR_AMPLITUDE
     params = reference_scenario(sim_time=final_time).params
     wave_bound = characteristic_speed(params.rho_0, params.b_0, params)
     errors = []
-    for n_cells in n_cells_list:
+    for n_cells in CONVERGENCE_CELLS:
         grid = make_grid(params.road_length, n_cells)
-        n_steps = math.ceil(final_time / (cfl * grid.dz / wave_bound))
+        n_steps = math.ceil(final_time / (CONVERGENCE_CFL * grid.dz / wave_bound))
         dt = final_time / n_steps
         state = params.rho_0 + _bump(grid.cell_centers, amplitude)
         b_profile = np.full(grid.n_cells + 1, params.b_0)
@@ -230,17 +232,15 @@ def _ratio_check(name: str, errors: list[float], bounds: tuple[float, float]) ->
     )
 
 
-def check_convergence_linear(n_cells_list: tuple[int, ...] = (100, 200, 400)) -> CheckResult:
+def check_convergence_linear() -> CheckResult:
     return _ratio_check(
-        "convergence-linear", linear_convergence_l1_errors(n_cells_list), CONVERGENCE_RANGE
+        "convergence-linear", linear_convergence_l1_errors(CONVERGENCE_CELLS), CONVERGENCE_RANGE
     )
 
 
-def check_convergence_nonlinear(n_cells_list: tuple[int, ...] = (100, 200, 400)) -> CheckResult:
+def check_convergence_nonlinear() -> CheckResult:
     return _ratio_check(
-        "convergence-nonlinear",
-        nonlinear_convergence_l1_errors(n_cells_list),
-        CONVERGENCE_RANGE,
+        "convergence-nonlinear", nonlinear_convergence_l1_errors(), CONVERGENCE_RANGE
     )
 
 
@@ -251,7 +251,7 @@ def check_convergence_coarse() -> CheckResult:
     )
 
 
-def linearization_gaps(scales: tuple[float, ...] = (1.0, 0.5, 0.25)) -> list[float]:
+def linearization_gaps() -> list[float]:
     """Sup-norm gap at final time between the two models, control off.
 
     Both models run from identically scaled initial and boundary
@@ -259,7 +259,7 @@ def linearization_gaps(scales: tuple[float, ...] = (1.0, 0.5, 0.25)) -> list[flo
     isolates the linearization remainder.
     """
     gaps = []
-    for scale in scales:
+    for scale in LINEARIZATION_SCALES:
         finals = []
         for model in ("linear", "nonlinear"):
             scenario = reference_scenario(

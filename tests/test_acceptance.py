@@ -140,14 +140,14 @@ class TestAcceptance:
     def test_first_order_l1_convergence(self):
         for name, errors in (
             ("linear", linear_convergence_l1_errors((100, 200, 400))),
-            ("nonlinear", nonlinear_convergence_l1_errors((100, 200, 400))),
+            ("nonlinear", nonlinear_convergence_l1_errors()),
         ):
             ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
             for ratio in ratios:
                 assert 1.7 <= ratio <= 2.3, f"{name} refinement ratios {ratios}"
 
     def test_linearization_gap_shrinks_second_order(self):
-        gaps = linearization_gaps((1.0, 0.5, 0.25))
+        gaps = linearization_gaps()
         ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
         for ratio in ratios:
             assert 3.0 <= ratio <= 5.0, f"gap ratios per halving {ratios}"

@@ -1,10 +1,13 @@
-"""The benchmark's view of the package: the names it traces and the cell count it reads.
+"""The benchmark's view of the package: the names it traces and the data it reads.
 
-perfbench/run.py finds the functions it times by module and name, and
-counts cell updates from the grid passed first to each stepper. A
-refactor that breaks either makes every benchmark operation fail, so
-this module loads run.py (without writing anything next to it) and
-checks both against a small closed-loop run.
+perfbench/run.py finds the functions it times by module and name, counts
+cell updates from the grid passed first to each stepper, and gates each
+solo run on data it reads from the package: RunConfig.cfl and
+output_cadence, run_simulation(scenario, cadence, cfl) called with
+positional arguments, and the SimulationHistory field names. A refactor
+that breaks any of these makes every benchmark operation fail, so this
+module loads run.py (without writing anything next to it) and checks
+them against small closed-loop runs.
 """
 
 import importlib.util
@@ -60,3 +63,17 @@ def test_cell_updates_count_every_step(bench, model):
     assert tracer.op_counters(0)["solvers.cell_updates"] == steps * scenario.grid.n_cells
     plain = run_simulation(scenario)
     assert traced.total_cars_series.tobytes() == plain.total_cars_series.tobytes()
+
+
+@pytest.mark.parametrize("model", ["linear", "nonlinear"])
+def test_solo_run_passes_its_own_gate(bench, model):
+    # the bench's generated config at seed 1, on a grid small enough for a unit test
+    config = bench.config_text(bench.make_inputs(1), model) + (
+        "params:\n  sim_time_s: 6\nnumerics:\n  n_cells: 24\n"
+    )
+    solo = bench.SoloRun(lwrvsl, config, model)
+    digests, problems = solo.check(solo.run())
+    assert problems == []
+    assert set(digests) == {
+        "total_cars_series", "density_frames", "vsl_frames", "control_frames"
+    }

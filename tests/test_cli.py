@@ -55,6 +55,16 @@ class TestUsageErrors:
             assert "config error:" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "riccati"])
+    def test_colliding_q0_labels_are_config_error(self, command, config_file, tmp_path, capsys):
+        # both values print as 5e-05, the name of their directory or column
+        out = tmp_path / "out"
+        argv = ["--config", str(config_file), "--out", str(out)]
+        rc = main([command, *argv, "--q0", "5e-5", "--q0", "5.0000001e-5"])
+        assert rc == 1
+        assert "share labels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1
         assert "cannot read config" in capsys.readouterr().err

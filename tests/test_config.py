@@ -3,7 +3,10 @@
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import lwrvsl.cli as cli_module
 from lwrvsl import ConfigError, parse_config, reference_scenario
 
 
@@ -178,3 +181,51 @@ class TestRejection:
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigError, match="must be a mapping"):
             _parse("params: 5\n")
+
+
+
+# the amplitudes that the amplitude scale multiplies, in the units of their keys
+SCALED_DATA = {
+    "ic_amplitude_per_km": 10.0,
+    "bc_osc_amplitude_per_km": 5.0,
+    "bc_growth_rate_per_km_s": 0.125,
+}
+DATA_KEYS = (*SCALED_DATA, "bc_decay_rate_per_s")
+
+
+class TestGeneratedRejections:
+    """Scenario data that is not finite, or leaves the free-flow band, is a configuration error."""
+
+    @settings(
+        max_examples=40, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        model=st.sampled_from(["linear", "nonlinear"]),
+        # either one data key set to a non-finite value, or an amplitude scale
+        # outside the band: rho_0 + the largest surplus (50 + 20 s cars/km over
+        # 120 s) reaches rho_max / 2 = 80 at s = 1.5, the deepest deficit 0 at s = -2.5
+        case=st.tuples(st.sampled_from(DATA_KEYS), st.sampled_from([".nan", ".inf", "-.inf"]))
+        | st.floats(min_value=1.51, max_value=40.0)
+        | st.floats(min_value=-40.0, max_value=-2.51),
+    )
+    def test_rejected_before_any_run(self, model, case, tmp_path, monkeypatch, capsys):
+        scale = 1.0 if isinstance(case, tuple) else case
+        # a mantissa with a '.' keeps PyYAML from reading 5e-05 as a string
+        fields = {key: format(value * scale, ".17e") for key, value in SCALED_DATA.items()}
+        if isinstance(case, tuple):
+            fields[case[0]] = case[1]
+        text = f"scenario:\n  model: {model}\n" + "".join(
+            f"  {key}: {value}\n" for key, value in fields.items()
+        )
+        with pytest.raises(ConfigError):
+            parse_config(text)
+        runs = []
+        monkeypatch.setattr(cli_module, "run_simulation", lambda *args: runs.append(args))
+        path = tmp_path / "generated.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli_module.main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()

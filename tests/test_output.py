@@ -213,6 +213,22 @@ class TestRunArtifacts:
         expected = absolute_density(scenario, history)[0] * 1000.0
         assert np.array_equal(np.array(first_row[1:]), expected)
 
+    def test_speed_csv_contents(self, nonlinear_run, tmp_path):
+        # per frame: b averaged to the cells times the Greenshield speed, in km/h
+        scenario, history = nonlinear_run
+        p = scenario.params
+        written = write_run_artifacts(
+            tmp_path / "run", scenario, history, ("csv",), 0.9, 1.0
+        )
+        speed_path = next(path for path in written if path.name == "speed.csv")
+        lines = speed_path.read_text().splitlines()
+        assert lines[0].startswith("t_s/speed_kph,z_m=62.5,")
+        for line, rho, b in zip(lines[1:], history.density_frames, history.vsl_frames):
+            b_cells = 0.5 * (b[:-1] + b[1:])
+            expected = b_cells * (p.u_max * (1.0 - rho / p.rho_max)) * 3.6
+            assert np.array_equal([float(cell) for cell in line.split(",")[1:]], expected)
+        assert any(np.any(b != 1.0) for b in history.vsl_frames)
+
     def test_vsl_csv_covers_interfaces(self, linear_run, tmp_path):
         scenario, history = linear_run
         written = write_run_artifacts(

@@ -1,6 +1,7 @@
 """Parameter validation, unit conversion, and grid construction."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -33,19 +34,15 @@ class TestTrafficParams:
         assert params.sim_time == 120.0
 
     def test_rejects_nonpositive_fields(self):
-        for name in ("rho_max", "u_max", "b_0", "road_length", "sim_time"):
-            with pytest.raises(ValueError, match=name):
-                TrafficParams(**_valid_kwargs(**{name: 0.0}))
-            with pytest.raises(ValueError, match=name):
-                TrafficParams(**_valid_kwargs(**{name: -1.0}))
+        # rho_0 = 0 has no traffic to control: B0 = 0 and the feedback vanishes
+        for name in ("rho_max", "u_max", "rho_0", "b_0", "road_length", "sim_time"):
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    TrafficParams(**_valid_kwargs(**{name: bad}))
 
     def test_rejects_negative_rho_0(self):
         with pytest.raises(ValueError, match="rho_0"):
             TrafficParams(**_valid_kwargs(rho_0=-0.01))
-
-    def test_zero_rho_0_allowed(self):
-        params = TrafficParams(**_valid_kwargs(rho_0=0.0))
-        assert params.rho_0 == 0.0
 
     def test_rejects_congested_equilibrium(self):
         # the control design assumes free flow, so rho_0 must stay below
@@ -97,6 +94,8 @@ class TestQuotedUnits:
             params_from_paper_units(0.0, 115.0, 50.0, 2000.0, 120.0, 1.0)
         with pytest.raises(ValueError):
             params_from_paper_units(160.0, -5.0, 50.0, 2000.0, 120.0, 1.0)
+        with pytest.raises(ValueError, match="rho_0"):
+            params_from_paper_units(160.0, 115.0, 0.0, 2000.0, 120.0, 1.0)
 
 
 class TestGrid:

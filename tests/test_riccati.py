@@ -68,35 +68,6 @@ class TestAssembleProblem:
         expected = -PARAMS.rho_0 * PARAMS.u_max * (1.0 - PARAMS.rho_0 / PARAMS.rho_max)
         assert problem.b0_coef == pytest.approx(expected, rel=1e-15)
 
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError, match="q0"):
-            assemble_problem(PARAMS, 0.0)
-        with pytest.raises(ValueError, match="q0"):
-            assemble_problem(PARAMS, -1e-5)
-        with pytest.raises(ValueError, match="r0"):
-            assemble_problem(PARAMS, 1e-5, r0=0.0)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="q0"):
-                assemble_problem(PARAMS, bad)
-            with pytest.raises(ValueError, match="r0"):
-                assemble_problem(PARAMS, 1e-5, r0=bad)
-
-    def test_congested_parameters_are_uncontrollable(self):
-        # TrafficParams itself rejects congested equilibria, so smuggle one
-        # past validation to show assemble_problem guards independently.
-        params = object.__new__(TrafficParams)
-        for name, value in dict(
-            rho_max=0.16,
-            u_max=30.0,
-            rho_0=0.09,
-            b_0=1.0,
-            road_length=2000.0,
-            sim_time=120.0,
-        ).items():
-            object.__setattr__(params, name, value)
-        with pytest.raises(ValueError, match="uncontrollable"):
-            assemble_problem(params, 1e-5)
-
 
 class TestRiccatiProblem:
     def test_zero_q0_allowed_in_raw_problem(self):
@@ -105,24 +76,6 @@ class TestRiccatiProblem:
             q0=0.0, r0=1.0, length=1000.0,
         )
         assert problem.q0 == 0.0
-
-    def test_invalid_coefficients_rejected(self):
-        good = dict(
-            v_coef=-10.0, b0_coef=-1.0,
-            q0=1e-5, r0=1.0, length=1000.0,
-        )
-        bad = [
-            dict(v_coef=0.0),
-            dict(v_coef=3.0),
-            dict(b0_coef=0.1),
-            dict(q0=-1e-9),
-            dict(r0=0.0),
-            dict(r0=-1.0),
-            dict(length=0.0),
-        ]
-        for override in bad:
-            with pytest.raises(ValueError):
-                RiccatiProblem(**{**good, **override})
 
 
 class TestPhiClosedForm:
@@ -159,17 +112,6 @@ class TestPhiClosedForm:
                 z, phi = phi_numeric_oracle(problem, 100_000)
                 closed = phi_closed_form(z, problem)
                 assert np.max(np.abs(closed - phi)) / np.max(closed) < ORACLE_BOUND
-
-    def test_zero_actuation_reduces_to_linear_ramp(self):
-        # with B0 = 0 the equation degenerates to V phi' = Q0, giving
-        # phi = Q0 (L - z) / |V|
-        problem = RiccatiProblem(
-            v_coef=-10.0, b0_coef=0.0,
-            q0=2e-5, r0=1.0, length=1000.0,
-        )
-        assert phi_closed_form(0.0, problem) == pytest.approx(2e-3, rel=1e-14)
-        assert phi_closed_form(1000.0, problem) == 0.0
-        assert phi_closed_form(250.0, problem) == pytest.approx(1.5e-3, rel=1e-14)
 
 
 class TestNumericOracle:

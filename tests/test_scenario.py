@@ -74,6 +74,10 @@ class TestScenarioValidation:
         base = reference_scenario()
         with pytest.raises(ValueError, match="q0"):
             dataclasses.replace(base, q0=0.0)
+        with pytest.raises(ValueError, match="q0"):
+            dataclasses.replace(base, q0=-1e-5)
+        with pytest.raises(ValueError, match="r0"):
+            dataclasses.replace(base, r0=0.0)
         with pytest.raises(ValueError, match="r0"):
             dataclasses.replace(base, r0=-1.0)
         with pytest.raises(ValueError, match="model"):
@@ -107,6 +111,12 @@ class TestScenarioValidation:
             dataclasses.replace(base, bc_osc_amplitude=45.0)
         with pytest.raises(ValueError, match="free-flow band"):
             dataclasses.replace(base, ic_amplitude=-60.0)
+        # NaN passes every comparison of the band check, so each field is
+        # required finite on its own
+        for name in ("ic_amplitude", "bc_osc_amplitude", "bc_growth_rate", "bc_decay_rate"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    dataclasses.replace(base, **{name: bad})
 
 
 class TestBoundaryData:
@@ -166,7 +176,6 @@ def _history(times, totals):
     return SimulationHistory(
         times=np.array(times, dtype=float),
         density_frames=(frame,) * n,
-        speed_frames=(arr,) * n,
         vsl_frames=(arr,) * n,
         control_frames=(arr,) * n,
         total_cars_series=np.array(totals, dtype=float),
@@ -213,7 +222,6 @@ class TestRunSimulation:
         assert not history.density_frames[-1].flags.writeable
         assert history.vsl_frames[0].shape == (21,)
         assert history.control_frames[0].shape == (21,)
-        assert history.speed_frames[0].shape == (20,)
         assert history.total_cars_series.shape == (7,)
 
     def test_nonlinear_runs_in_absolute_densities(self):
@@ -321,6 +329,9 @@ class TestSweep:
         monkeypatch.setattr(scenario_module, "run_simulation", lambda *args: runs.append(args))
         with pytest.raises(ValueError, match="q0"):
             sweep_q0(_tiny(), [5e-5, -1.0])
+        # both values are labelled 5e-05, so their artifacts would collide
+        with pytest.raises(ValueError, match="share labels"):
+            sweep_q0(_tiny(), [5e-5, 5.0000001e-5])
         assert runs == []
 
 

@@ -40,7 +40,6 @@ def _frames_history(frames):
     return SimulationHistory(
         times=np.arange(n, dtype=float),
         density_frames=tuple(frames),
-        speed_frames=(zeros,) * n,
         vsl_frames=(zeros,) * n,
         control_frames=(zeros,) * n,
         total_cars_series=np.zeros(n),
