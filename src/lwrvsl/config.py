@@ -111,7 +111,7 @@ def _number(section: str, key: str, value: object) -> float:
 
 def _count(section: str, key: str, value: object) -> int:
     number = _number(section, key, value)
-    if number != int(number):
+    if not number.is_integer():  # also false for nan and inf
         raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
     return int(number)
 

@@ -2,9 +2,10 @@
 
 All emitted quantities use road units at the file boundary: densities in
 cars/km, speeds in km/h, positions in m, times in s, as labeled in the
-headers. CSV files use '.' decimals, ',' separators, LF line endings,
-time in the first column and one column per position, printed with 17
-significant digits so parsing recovers the emitted values exactly. SVG
+headers. Every CSV file is one header line and one matrix, written by
+write_wide_csv: '.' decimals, ',' separators, LF line endings, the time
+(or position) in the first column and every value printed with 17
+significant digits, so parsing recovers the emitted values exactly. SVG
 output is self-contained with a fixed 64-step colormap.
 """
 
@@ -66,34 +67,19 @@ PALETTE = _build_palette()
 _LINE_COLORS = ("#440154", "#31688e", "#35b779", "#b4de2c", "#d1495b", "#17bebb")
 
 
+_FLOAT = "%.17g"  # enough digits to round-trip every double
+
+
 def fmt_float(value: float) -> str:
-    return format(float(value), ".17g")
+    return _FLOAT % value
 
 
-def write_wide_csv(
-    path: Path,
-    corner: str,
-    position_prefix: str,
-    positions: np.ndarray,
-    times: np.ndarray,
-    matrix: np.ndarray,
-) -> None:
-    """One row per instant, one column per position, 17-digit values."""
+def write_wide_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """One header line, then each row of the 2-D table as 17-digit values."""
+    row_template = ",".join([_FLOAT] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        header = [corner] + [f"{position_prefix}{fmt_float(p)}" for p in positions]
         fh.write(",".join(header) + "\n")
-        for t, row in zip(times, matrix):
-            fh.write(",".join([fmt_float(t)] + [fmt_float(v) for v in row]) + "\n")
-
-
-def write_total_cars_csv(path: Path, times: np.ndarray, series: dict[str, np.ndarray]) -> None:
-    """Car counts over time: a t_s column, then one column per {header: series} entry."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(["t_s", *series]) + "\n")
-        columns = list(series.values())
-        for i, t in enumerate(times):
-            row = [fmt_float(t)] + [fmt_float(column[i]) for column in columns]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(row_template % tuple(row) for row in table.tolist())
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -359,33 +345,22 @@ def write_run_artifacts(
     """
     grid = scenario.grid
     absolute = absolute_density(scenario, history)
-    vsl = np.stack(history.vsl_frames)
+    vsl = history.vsl_frames
     density = absolute * M_PER_KM
     speed = vsl_speed(absolute, 0.5 * (vsl[:, :-1] + vsl[:, 1:]), scenario.params) * KMH_PER_MPS
-    control = np.stack(history.control_frames)
 
     with _artifact_set(out_dir) as (written, reserve):
         if "csv" in formats:
-            write_wide_csv(
-                reserve("density.csv"), "t_s/density_cars_per_km", "z_m=",
-                grid.cell_centers, history.times, density,
-            )
-            write_wide_csv(
-                reserve("speed.csv"), "t_s/speed_kph", "z_m=",
-                grid.cell_centers, history.times, speed,
-            )
-            write_wide_csv(
-                reserve("vsl.csv"), "t_s/vsl_rate", "z_m=",
-                grid.interfaces, history.times, vsl,
-            )
-            write_wide_csv(
-                reserve("control.csv"), "t_s/dbdz_per_m", "z_m=",
-                grid.interfaces, history.times, control,
-            )
-            write_total_cars_csv(
-                reserve("total_cars.csv"), history.times,
-                {"total_cars": history.total_cars_series},
-            )
+            cells = [f"z_m={fmt_float(z)}" for z in grid.cell_centers]
+            interfaces = [f"z_m={fmt_float(z)}" for z in grid.interfaces]
+            for name, header, matrix in (
+                ("density.csv", ["t_s/density_cars_per_km", *cells], density),
+                ("speed.csv", ["t_s/speed_kph", *cells], speed),
+                ("vsl.csv", ["t_s/vsl_rate", *interfaces], vsl),
+                ("control.csv", ["t_s/dbdz_per_m", *interfaces], history.control_frames),
+                ("total_cars.csv", ["t_s", "total_cars"], history.total_cars_series),
+            ):
+                write_wide_csv(reserve(name), header, np.column_stack((history.times, matrix)))
         if "json" in formats:
             write_json(reserve("summary.json"), run_summary(scenario, history, cfl, cadence))
         if "svg" in formats:
@@ -418,10 +393,10 @@ def write_sweep_artifacts(
     times = members[0].history.times
     with _artifact_set(out_dir) as (written, reserve):
         if "csv" in formats:
-            write_total_cars_csv(
-                reserve("total_cars_sweep.csv"), times,
-                {f"total_cars[q0={q0_label(m.q0)}]": m.history.total_cars_series
-                 for m in members},
+            write_wide_csv(
+                reserve("total_cars_sweep.csv"),
+                ["t_s", *(f"total_cars[q0={q0_label(m.q0)}]" for m in members)],
+                np.column_stack((times, *(m.history.total_cars_series for m in members))),
             )
         if "json" in formats:
             payload = {
@@ -460,18 +435,12 @@ def write_riccati_artifacts(
 
     with _artifact_set(out_dir) as (written, reserve):
         if "csv" in formats:
-            with open(reserve("riccati.csv"), "w", newline="\n") as fh:
-                header = ["z_m"]
-                for label, _, _ in profiles:
-                    header.append(f"phi[q0={label}]")
-                    header.append(f"k0_per_m[q0={label}]")
-                fh.write(",".join(header) + "\n")
-                for i, zi in enumerate(z):
-                    row = [fmt_float(zi)]
-                    for _, phi, gain in profiles:
-                        row.append(fmt_float(phi[i]))
-                        row.append(fmt_float(gain[i]))
-                    fh.write(",".join(row) + "\n")
+            header = ["z_m"]
+            columns = [z]
+            for label, phi, gain in profiles:
+                header += [f"phi[q0={label}]", f"k0_per_m[q0={label}]"]
+                columns += [phi, gain]
+            write_wide_csv(reserve("riccati.csv"), header, np.column_stack(columns))
         if "json" in formats:
             payload = {
                 "q0_values": list(q0_values),

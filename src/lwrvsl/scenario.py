@@ -93,10 +93,10 @@ class Scenario:
         if self.bc_decay_rate < 0.0:
             raise ValueError("bc_decay_rate must be non-negative")
         b_min, b_max = self.clamp
-        if not 0.0 <= b_min < self.params.b_0 < b_max:
+        if not 0.0 <= b_min < self.params.b_0 < b_max < math.inf:
             raise ValueError(
-                "clamp bounds must straddle b_0 with a non-negative b_min: "
-                f"need 0 <= {b_min} < {self.params.b_0} < {b_max}"
+                "clamp bounds must be finite and straddle b_0 with a non-negative b_min: "
+                f"need 0 <= {b_min} < {self.params.b_0} < {b_max} < inf"
             )
         if abs(self.grid.length - self.params.road_length) > 1e-9 * self.params.road_length:
             raise ValueError(
@@ -124,37 +124,40 @@ class Scenario:
 class SimulationHistory:
     """Time-indexed record of one run, sampled at the output cadence.
 
-    Each frame set is a tuple of read-only 1-D arrays, one per entry of
-    times. density_frames hold the plant's native kind, cars/m per cell:
-    the perturbation rho - rho_0 for the linear model, the absolute
-    density for the nonlinear one (absolute_density converts them all at
-    once). vsl_frames hold the dimensionless b per interface and
-    control_frames db/dz per interface; the writer derives the speed from
-    density and b. inflow_cars and outflow_cars accumulate the
-    time-integrated boundary interface fluxes of the solver. The frame
-    tuples are left out of the repr, which would otherwise print every
-    cell of every frame.
+    Each frame set is a read-only 2-D array with one row per entry of
+    times. density_frames, of shape (frames, cells), hold the plant's
+    native kind, cars/m per cell: the perturbation rho - rho_0 for the
+    linear model, the absolute density for the nonlinear one
+    (absolute_density converts them). vsl_frames hold the dimensionless b
+    and control_frames db/dz, both of shape (frames, cells + 1), one
+    column per interface; the writer derives the speed from density and
+    b. inflow_cars and outflow_cars accumulate the time-integrated
+    boundary interface fluxes of the solver. The frame matrices are left
+    out of the repr, which would otherwise print every cell of every
+    frame.
     """
 
     times: np.ndarray
-    density_frames: tuple[np.ndarray, ...] = dataclasses.field(repr=False)
-    vsl_frames: tuple[np.ndarray, ...] = dataclasses.field(repr=False)
-    control_frames: tuple[np.ndarray, ...] = dataclasses.field(repr=False)
+    density_frames: np.ndarray = dataclasses.field(repr=False)
+    vsl_frames: np.ndarray = dataclasses.field(repr=False)
+    control_frames: np.ndarray = dataclasses.field(repr=False)
     total_cars_series: np.ndarray
     inflow_cars: float
     outflow_cars: float
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
-        totals = np.array(self.total_cars_series, dtype=float)
-        n = times.size
+        # read-only views, so that the run's matrices are not copied
+        for name in ("times", "density_frames", "vsl_frames", "control_frames",
+                     "total_cars_series"):
+            view = np.asarray(getattr(self, name), dtype=float).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+        n = self.times.size
         frame_sets = (self.density_frames, self.vsl_frames, self.control_frames)
-        if any(len(frames) != n for frames in frame_sets) or totals.size != n:
+        if self.total_cars_series.size != n or any(
+            frames.ndim != 2 or len(frames) != n for frames in frame_sets
+        ):
             raise ValueError("all frame sequences must share the length of times")
-        times.setflags(write=False)
-        totals.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "total_cars_series", totals)
 
 
 @dataclass(frozen=True)
@@ -261,12 +264,12 @@ def total_cars(rho: np.ndarray, grid: Grid1D) -> float:
 def absolute_density(scenario: Scenario, history: SimulationHistory) -> np.ndarray:
     """The run's absolute density in cars/m, one row per frame.
 
-    Linear runs record rho - rho_0, so their frames are shifted by rho_0.
+    Linear runs record rho - rho_0, so their frames are shifted by rho_0;
+    nonlinear runs return the stored, read-only matrix.
     """
-    frames = np.stack(history.density_frames)
     if scenario.model == "linear":
-        return frames + scenario.params.rho_0
-    return frames
+        return history.density_frames + scenario.params.rho_0
+    return history.density_frames
 
 
 def target_cars(params: TrafficParams) -> float:
@@ -313,8 +316,9 @@ def run_simulation(
     field (when enabled). The step size is fixed from the worst-case wave
     speed b_cap * u_max (b_cap being the clamp ceiling when control is
     on, else b_0) and shortened only to land exactly on frame instants.
-    Frames record density, VSL rate, control, and total cars every
-    frame_interval seconds.
+    The frame instants, every frame_interval seconds and at T, are listed
+    first; one row of density, VSL rate, control and total cars is filled
+    at each.
     """
     require_positive("frame_interval", frame_interval)
     if not 0.0 < cfl <= 1.0:
@@ -342,57 +346,52 @@ def run_simulation(
         u_opt = control_field(values if linear else values - p.rho_0, gain)
         return u_opt, integrate_vsl(u_opt, p.b_0, grid, scenario.clamp)
 
-    times: list[float] = []
-    density_frames: list[np.ndarray] = []
-    vsl_frames: list[np.ndarray] = []
-    control_frames: list[np.ndarray] = []
-    totals: list[float] = []
+    # the frame instants: 0, then min(k * frame_interval, T) until T is reached
+    times = [0.0]
+    while times[-1] < p.sim_time - 1e-9:
+        times.append(min(len(times) * frame_interval, p.sim_time))
+    n_frames = len(times)
+    density_frames = np.empty((n_frames, grid.n_cells))
+    vsl_frames = np.empty((n_frames, grid.n_cells + 1))
+    control_frames = np.empty((n_frames, grid.n_cells + 1))
+    totals = np.empty(n_frames)
     inflow = 0.0
     outflow = 0.0
 
-    def record(t: float, values: np.ndarray, u_opt: np.ndarray, b_profile: np.ndarray) -> None:
-        values.setflags(write=False)
-        times.append(t)
-        density_frames.append(values)
-        vsl_frames.append(b_profile)
-        control_frames.append(u_opt)
-        totals.append(total_cars(values + p.rho_0 if linear else values, grid))
-
     u_opt, b_profile = controls(state)
-    record(0.0, state, u_opt, b_profile)
     t = 0.0
-    frame_index = 1
-    while t < p.sim_time - 1e-9:
-        next_frame = min(frame_index * frame_interval, p.sim_time)
-        at_frame = t + dt_fixed >= next_frame - 1e-12
-        dt = next_frame - t if at_frame else dt_fixed
-        upstream = upstream_boundary(t, scenario)
-        if linear:
-            extended = apply_boundary(state, upstream - p.rho_0)
-            state, fluxes = step_linear(grid, extended, u_opt, p, dt)
-        else:
-            extended = apply_boundary(state, upstream)
-            state, fluxes = step_nonlinear(grid, extended, b_profile, p, dt)
-        inflow += dt * fluxes[0]
-        outflow += dt * fluxes[-1]
-        t = next_frame if at_frame else t + dt
-        if linear:
-            absolute = state + p.rho_0
-            if not 0.0 <= absolute.min() <= absolute.max() <= p.rho_max:
-                raise SolverError(
-                    f"density left [0, rho_max] in the linear run at t={t}"
-                )
-        # the control of the new state drives the next step and, at a frame, is recorded
-        u_opt, b_profile = controls(state)
-        if at_frame:
-            record(t, state, u_opt, b_profile)
-            frame_index += 1
+    for row, next_frame in enumerate(times):
+        while t < next_frame:  # the step that reaches next_frame sets t to it exactly
+            at_frame = t + dt_fixed >= next_frame - 1e-12
+            dt = next_frame - t if at_frame else dt_fixed
+            upstream = upstream_boundary(t, scenario)
+            if linear:
+                extended = apply_boundary(state, upstream - p.rho_0)
+                state, fluxes = step_linear(grid, extended, u_opt, p, dt)
+            else:
+                extended = apply_boundary(state, upstream)
+                state, fluxes = step_nonlinear(grid, extended, b_profile, p, dt)
+            inflow += dt * fluxes[0]
+            outflow += dt * fluxes[-1]
+            t = next_frame if at_frame else t + dt
+            if linear:
+                absolute = state + p.rho_0
+                if not 0.0 <= absolute.min() <= absolute.max() <= p.rho_max:
+                    raise SolverError(
+                        f"density left [0, rho_max] in the linear run at t={t}"
+                    )
+            # the control of the new state drives the next step and, at a frame, is recorded
+            u_opt, b_profile = controls(state)
+        density_frames[row] = state
+        vsl_frames[row] = b_profile
+        control_frames[row] = u_opt
+        totals[row] = total_cars(state + p.rho_0 if linear else state, grid)
     return SimulationHistory(
         times=np.array(times),
-        density_frames=tuple(density_frames),
-        vsl_frames=tuple(vsl_frames),
-        control_frames=tuple(control_frames),
-        total_cars_series=np.array(totals),
+        density_frames=density_frames,
+        vsl_frames=vsl_frames,
+        control_frames=control_frames,
+        total_cars_series=totals,
         inflow_cars=inflow,
         outflow_cars=outflow,
     )

@@ -149,6 +149,8 @@ class TestRejection:
             _parse("control: {b_min: 1.5}\n")
         with pytest.raises(ConfigError, match="straddle"):
             _parse("control: {b_min: -0.5}\n")
+        with pytest.raises(ConfigError, match="finite and straddle"):
+            _parse("control: {b_max: .inf}\n")
         with pytest.raises(ConfigError, match="free-flow band"):
             _parse("scenario: {ic_amplitude_per_km: 50}\n")
         with pytest.raises(ConfigError, match="q0"):
@@ -163,6 +165,9 @@ class TestRejection:
     def test_numerics_validation(self):
         with pytest.raises(ConfigError, match="n_cells"):
             _parse("numerics: {n_cells: 1}\n")
+        for bad in (".inf", ".nan"):
+            with pytest.raises(ConfigError, match="numerics.n_cells must be an integer"):
+                _parse(f"numerics: {{n_cells: {bad}}}\n")
         with pytest.raises(ConfigError, match="cfl"):
             _parse("numerics: {cfl: 1.5}\n")
 

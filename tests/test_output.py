@@ -7,8 +7,12 @@ import pytest
 
 from lwrvsl import (
     absolute_density,
+    assemble_problem,
+    feedback_gain,
+    phi_closed_form,
     reference_scenario,
     run_simulation,
+    sweep_q0,
     write_riccati_artifacts,
     write_run_artifacts,
 )
@@ -20,7 +24,7 @@ from lwrvsl.output import (
     svg_heatmap,
     svg_lineplot,
     write_json,
-    write_total_cars_csv,
+    write_sweep_artifacts,
     write_wide_csv,
 )
 
@@ -60,32 +64,30 @@ class TestPalette:
         assert PALETTE[-1] == "#fde725"
 
 
+def _read_table(path):
+    """Header cells and the float matrix of a CSV written by write_wide_csv."""
+    lines = path.read_text().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    return lines[0].split(","), np.array(rows)
+
+
 class TestCsvWriters:
     def test_wide_csv_layout_and_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
-        positions = np.array([0.0, 12.5])
-        times = np.array([0.0, 0.5])
-        matrix = np.array([[1.0 / 3.0, 2.0 / 7.0], [50.1234, 0.0]])
-        write_wide_csv(path, "t_s/value", "z_m=", positions, times, matrix)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t_s/value,z_m=0,z_m=12.5"
-        assert len(lines) == 3
-        parsed = np.array(
-            [[float(cell) for cell in line.split(",")[1:]] for line in lines[1:]]
+        table = np.array(
+            [[0.0, 1.0 / 3.0, 2.0 / 7.0], [0.5, 50.1234, 0.0], [1e-17, -0.0, -2.5e300]]
         )
-        assert np.array_equal(parsed, matrix)
-        assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.5]
+        write_wide_csv(path, ["t_s/value", "z_m=0", "z_m=12.5"], table)
+        header, parsed = _read_table(path)
+        assert header == ["t_s/value", "z_m=0", "z_m=12.5"]
+        assert parsed.tobytes() == table.tobytes()
 
     def test_total_cars_csv(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_total_cars_csv(
-            path, np.array([0.0, 1.0]), {"total_cars": np.array([100.0, 101.5])}
-        )
+        write_wide_csv(path, ["t_s", "total_cars"], np.array([[0.0, 100.0], [1.0, 101.5]]))
         lines = path.read_text().splitlines()
         assert lines == ["t_s,total_cars", "0,100", "1,101.5"]
-        write_total_cars_csv(
-            path, np.array([0.0]), {"a[q0=1]": np.array([2.0]), "b": np.array([0.5])}
-        )
+        write_wide_csv(path, ["t_s", "a[q0=1]", "b"], np.array([[0.0, 2.0, 0.5]]))
         assert path.read_text() == "t_s,a[q0=1],b\n0,2,0.5\n"
 
 
@@ -266,6 +268,18 @@ class TestRunArtifacts:
         assert list(out.iterdir()) == []
 
 
+class TestSweepArtifacts:
+    def test_total_cars_sweep_csv_reads_back_bitwise(self, tmp_path):
+        scenario = reference_scenario(model="nonlinear", n_cells=16, sim_time=4.0)
+        members, failures = sweep_q0(scenario, [1e-5, 5e-4], frame_interval=1.0)
+        write_sweep_artifacts(tmp_path, scenario, members, failures, ("csv",))
+        header, table = _read_table(tmp_path / "total_cars_sweep.csv")
+        assert header == ["t_s", "total_cars[q0=1e-05]", "total_cars[q0=0.0005]"]
+        assert table[:, 0].tobytes() == members[0].history.times.tobytes()
+        for column, member in zip(table[:, 1:].T, members):
+            assert column.tobytes() == member.history.total_cars_series.tobytes()
+
+
 class TestRiccatiArtifacts:
     def test_csv_and_json(self, tmp_path):
         scenario = reference_scenario(n_cells=10)
@@ -276,14 +290,19 @@ class TestRiccatiArtifacts:
             "riccati.csv",
             "riccati_summary.json",
         ]
-        lines = (tmp_path / "riccati.csv").read_text().splitlines()
-        assert lines[0] == (
-            "z_m,phi[q0=5e-05],k0_per_m[q0=5e-05],phi[q0=0.0005],k0_per_m[q0=0.0005]"
-        )
-        assert len(lines) == 1 + 11
-        last = lines[-1].split(",")
-        assert float(last[0]) == 2000.0
-        assert all(float(v) == 0.0 for v in last[1:])
+        header, table = _read_table(tmp_path / "riccati.csv")
+        assert header == [
+            "z_m", "phi[q0=5e-05]", "k0_per_m[q0=5e-05]", "phi[q0=0.0005]", "k0_per_m[q0=0.0005]"
+        ]
+        z = scenario.grid.interfaces
+        assert table.shape == (11, 5)
+        assert table[:, 0].tobytes() == z.tobytes()
+        for k, q0 in enumerate((5e-5, 5e-4)):
+            problem = assemble_problem(scenario.params, q0, scenario.r0)
+            assert table[:, 1 + 2 * k].tobytes() == phi_closed_form(z, problem).tobytes()
+            assert table[:, 2 + 2 * k].tobytes() == feedback_gain(z, problem).tobytes()
+        assert table[-1, 0] == 2000.0
+        assert np.all(table[-1, 1:] == 0.0)
         payload = json.loads((tmp_path / "riccati_summary.json").read_text())
         assert payload["q0_values"] == [5e-5, 5e-4]
         assert payload["road_length_m"] == 2000.0

@@ -90,6 +90,8 @@ class TestScenarioValidation:
             dataclasses.replace(base, clamp=(1.5, 2.0))
         with pytest.raises(ValueError, match="straddle"):
             dataclasses.replace(base, clamp=(-0.5, 2.0))
+        with pytest.raises(ValueError, match="finite and straddle"):
+            dataclasses.replace(base, clamp=(0.1, math.inf))
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="q0"):
                 dataclasses.replace(base, q0=bad)
@@ -217,12 +219,24 @@ class TestRunSimulation:
         scenario = _tiny()
         history = run_simulation(scenario, frame_interval=1.0)
         assert np.array_equal(history.times, np.arange(7.0))
-        assert len(history.density_frames) == 7
-        assert history.density_frames[0].shape == (20,)
-        assert not history.density_frames[-1].flags.writeable
-        assert history.vsl_frames[0].shape == (21,)
-        assert history.control_frames[0].shape == (21,)
+        assert history.density_frames.shape == (7, 20)
+        assert history.vsl_frames.shape == (7, 21)
+        assert history.control_frames.shape == (7, 21)
         assert history.total_cars_series.shape == (7,)
+        for values in (history.times, history.density_frames, history.vsl_frames,
+                       history.control_frames, history.total_cars_series):
+            assert not values.flags.writeable
+
+    def test_step_ending_just_short_of_the_end_still_records_it(self):
+        # four fixed steps end 5e-10 s short of T; the frame at T must still be taken
+        scenario = reference_scenario(
+            model="nonlinear", control_enabled=False, n_cells=8, sim_time=1.0
+        )
+        p = scenario.params
+        cfl = (1.0 - 5e-10) / 4.0 * p.b_0 * p.u_max / scenario.grid.dz
+        history = run_simulation(scenario, frame_interval=1.0, cfl=cfl)
+        assert history.times.tolist() == [0.0, 1.0]
+        assert mass_balance_defect(history)[1] < 1e-9
 
     def test_nonlinear_runs_in_absolute_densities(self):
         scenario = _tiny(model="nonlinear")
