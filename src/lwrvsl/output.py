@@ -94,7 +94,10 @@ def run_summary(
 ) -> dict:
     """Stable-keyed summary of one run, in road units."""
     p = scenario.params
-    absolute = absolute_density(scenario, history)
+    # rounding is monotone: the shifted extrema are absolute_density's, bitwise
+    low, high = float(history.density_frames.min()), float(history.density_frames.max())
+    if scenario.model == "linear":
+        low, high = low + p.rho_0, high + p.rho_0
     target = target_cars(p)
     summary = {
         "model": scenario.model,
@@ -125,8 +128,8 @@ def run_summary(
         "target_cars": target,
         "initial_total_cars": float(history.total_cars_series[0]),
         "final_total_cars": float(history.total_cars_series[-1]),
-        "min_density_per_km": float(absolute.min()) * M_PER_KM,
-        "max_density_per_km": float(absolute.max()) * M_PER_KM,
+        "min_density_per_km": low * M_PER_KM,
+        "max_density_per_km": high * M_PER_KM,
         "time_to_target_s": time_to_target(history, target),
     }
     if scenario.model == "nonlinear":
@@ -169,36 +172,37 @@ def svg_heatmap(
     title: str,
     value_label: str,
 ) -> None:
-    """Self-contained (z, t) heatmap: position across, time upward."""
+    """Self-contained (z, t) heatmap: position across, time upward.
+
+    Raises ValueError if the matrix holds a NaN or an infinite value.
+    """
     width, height = 720, 520
     left, right, top, bottom = 80, 130, 50, 60
     plot_w, plot_h = width - left - right, height - top - bottom
 
     stride_t = max(1, int(np.ceil(times.size / 240)))
     stride_z = max(1, int(np.ceil(positions.size / 240)))
-    t_sub = times[::stride_t]
-    z_sub = positions[::stride_z]
     m_sub = matrix[::stride_t, ::stride_z]
 
     vmin, vmax = float(m_sub.min()), float(m_sub.max())
     span = vmax - vmin
+    if not np.isfinite(span):
+        raise ValueError(f"heatmap {title!r} needs finite values, got range [{vmin}, {vmax}]")
     parts = _svg_open(width, height)
     parts.append(_text(width / 2, 24, f"{title} [{value_label}]"))
 
+    # int((v - vmin) / span * 63) per value, the same IEEE operations and truncation;
+    # a flat matrix (span 0) has v - vmin = 0 everywhere, so it maps to colour 0
+    index = ((m_sub - vmin) / (span or 1.0) * (len(PALETTE) - 1)).astype(np.intp)
+    fills = np.array(PALETTE, dtype=object)[np.clip(index, 0, len(PALETTE) - 1)].tolist()
     cell_w = plot_w / m_sub.shape[1]
     cell_h = plot_h / m_sub.shape[0]
-    for i in range(m_sub.shape[0]):
+    heads = [f'<rect x="{left + j * cell_w:.2f}" y="' for j in range(m_sub.shape[1])]
+    size = f'" width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" fill="'
+    for i, row in enumerate(fills):
         # time increases upward: row 0 sits at the bottom of the plot
-        y = top + plot_h - (i + 1) * cell_h
-        for j in range(m_sub.shape[1]):
-            value = m_sub[i, j]
-            index = 0 if span == 0.0 else int((value - vmin) / span * (len(PALETTE) - 1))
-            index = min(max(index, 0), len(PALETTE) - 1)
-            parts.append(
-                f'<rect x="{left + j * cell_w:.2f}" y="{y:.2f}" '
-                f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" '
-                f'fill="{PALETTE[index]}"/>'
-            )
+        middle = f"{top + plot_h - (i + 1) * cell_h:.2f}{size}"
+        parts.extend([f'{head}{middle}{fill}"/>' for head, fill in zip(heads, row)])
 
     parts.append(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '

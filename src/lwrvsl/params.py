@@ -16,6 +16,9 @@ import numpy as np
 M_PER_KM = 1000.0   # cars/km / M_PER_KM -> cars/m
 KMH_PER_MPS = 3.6   # km/h / KMH_PER_MPS -> m/s
 
+# the finest grid: a 120 s run's three frame matrices at 0.5 s cadence take ~580 MB
+MAX_N_CELLS = 100_000
+
 
 def require_positive(name: str, value: float) -> None:
     """Raise ValueError unless value is finite and positive (NaN fails too)."""
@@ -99,9 +102,9 @@ def params_from_paper_units(
 
 
 def make_grid(road_length: float, n_cells: int) -> Grid1D:
-    """Uniform grid with n_cells cells over [0, road_length]."""
-    if n_cells < 2:
-        raise ValueError(f"n_cells must be at least 2, got {n_cells}")
+    """Uniform grid with n_cells in [2, MAX_N_CELLS] cells over [0, road_length]."""
+    if not 2 <= n_cells <= MAX_N_CELLS:
+        raise ValueError(f"n_cells must be between 2 and {MAX_N_CELLS}, got {n_cells}")
     if road_length <= 0:
         raise ValueError("road_length must be positive")
     dz = road_length / n_cells

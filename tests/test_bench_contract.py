@@ -4,7 +4,8 @@ perfbench/run.py finds the functions it times by module and name, counts
 cell updates from the grid passed first to each stepper, and gates each
 solo run on data it reads from the package: RunConfig.cfl and
 output_cadence, run_simulation(scenario, cadence, cfl) called with
-positional arguments, and the SimulationHistory field names. A refactor
+positional arguments, and the SimulationHistory field names. It counts
+the bytes of each writer from the path passed first to it. A refactor
 that breaks any of these makes every benchmark operation fail, so this
 module loads run.py (without writing anything next to it) and checks
 them against small closed-loop runs.
@@ -19,7 +20,8 @@ import pytest
 import lwrvsl
 import lwrvsl.cli  # run.py resolves names on these submodules too
 import lwrvsl.verify
-from lwrvsl import reference_scenario, run_simulation
+from lwrvsl import reference_scenario, run_simulation, sweep_q0, write_run_artifacts
+from lwrvsl.output import write_sweep_artifacts
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -77,3 +79,33 @@ def test_solo_run_passes_its_own_gate(bench, model):
     assert set(digests) == {
         "total_cars_series", "density_frames", "vsl_frames", "control_frames"
     }
+
+
+def test_writer_byte_counters_match_the_files(bench, tmp_path):
+    targets = bench.layer_targets(lwrvsl)
+    traced = (*bench.WRITERS, "output.run_summary")
+    tracer = bench.Tracer(
+        "lwrvsl", {name: targets[name] for name in traced}, bench.LAYER_COUNTERS
+    )
+    scenario = reference_scenario(model="nonlinear", n_cells=16, sim_time=4.0)
+    members, failures = sweep_q0(scenario, [1e-5, 5e-4])
+    assert failures == {}
+    formats = ("csv", "json", "svg")
+
+    def write_all():
+        history = members[0].history
+        return write_run_artifacts(
+            tmp_path / "run", scenario, history, formats, 0.9, 1.0
+        ) + write_sweep_artifacts(tmp_path / "sweep", scenario, members, {}, formats)
+
+    files = tracer.run_op(write_all)
+    writer_of = {".csv": "output.write_wide_csv", ".json": "output.write_json",
+                 ".svg": "output.svg_heatmap", "total_cars_sweep.svg": "output.svg_lineplot"}
+    expected = dict.fromkeys((f"{name}.bytes" for name in traced), 0)
+    for path in files:
+        writer = writer_of.get(path.name, writer_of[path.suffix])
+        expected[f"{writer}.bytes"] += path.stat().st_size
+    expected["output.run_summary.bytes"] = (tmp_path / "run" / "summary.json").stat().st_size
+    assert all(expected.values())
+    counts = tracer.op_counters(0)
+    assert {name: counts[name] for name in expected} == expected

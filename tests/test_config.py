@@ -7,7 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lwrvsl.cli as cli_module
+import lwrvsl.params as params_module
 from lwrvsl import ConfigError, parse_config, reference_scenario
+from lwrvsl.params import MAX_N_CELLS
 
 
 def _parse(text):
@@ -170,6 +172,25 @@ class TestRejection:
                 _parse(f"numerics: {{n_cells: {bad}}}\n")
         with pytest.raises(ConfigError, match="cfl"):
             _parse("numerics: {cfl: 1.5}\n")
+
+    @pytest.mark.parametrize("n_cells", ["1.0e+15", str(MAX_N_CELLS + 1)])
+    def test_grid_above_the_ceiling_allocates_nothing(
+        self, n_cells, tmp_path, monkeypatch, capsys
+    ):
+        class NoAllocation:
+            def __getattr__(self, name):
+                raise AssertionError(f"make_grid reached numpy.{name}")
+
+        monkeypatch.setattr(params_module, "np", NoAllocation())
+        text = f"numerics: {{n_cells: {n_cells}}}\n"
+        with pytest.raises(ConfigError, match=f"n_cells must be between 2 and {MAX_N_CELLS}"):
+            parse_config(text)
+        path = tmp_path / "huge.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli_module.main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert "config error: n_cells must be between" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_validation(self):
         with pytest.raises(ConfigError, match="formats"):

@@ -41,6 +41,30 @@ def nonlinear_run():
     return scenario, run_simulation(scenario, frame_interval=1.0)
 
 
+def _reference_rects(matrix):
+    """The <rect> lines of a 720 x 520 heatmap, one colour index per value as first written."""
+    left, top, plot_w, plot_h = 80, 50, 510, 410
+    stride_t = max(1, int(np.ceil(matrix.shape[0] / 240)))
+    stride_z = max(1, int(np.ceil(matrix.shape[1] / 240)))
+    m_sub = matrix[::stride_t, ::stride_z]
+    vmin, vmax = float(m_sub.min()), float(m_sub.max())
+    span = vmax - vmin
+    cell_w = plot_w / m_sub.shape[1]
+    cell_h = plot_h / m_sub.shape[0]
+    rects = []
+    for i in range(m_sub.shape[0]):
+        y = top + plot_h - (i + 1) * cell_h
+        for j in range(m_sub.shape[1]):
+            index = 0 if span == 0.0 else int((m_sub[i, j] - vmin) / span * (len(PALETTE) - 1))
+            index = min(max(index, 0), len(PALETTE) - 1)
+            rects.append(
+                f'<rect x="{left + j * cell_w:.2f}" y="{y:.2f}" '
+                f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" '
+                f'fill="{PALETTE[index]}"/>'
+            )
+    return rects
+
+
 class TestFloatFormatting:
     def test_round_trips_doubles_exactly(self):
         for value in (0.1, 1.0 / 3.0, 115.0 / 3.6, 1e-17, -2.5e300):
@@ -165,6 +189,53 @@ class TestSvgWriters:
             value_label="-",
         )
         assert "Flat" in path.read_text()
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "nonlinear_history",
+            "stride_2_by_3",  # 479 x 719
+            "stride_3_by_4",  # 481 x 721
+            "constant",
+            "maximum_hit",
+            "single_row",
+        ],
+    )
+    def test_heatmap_rects_match_the_per_rect_loop(self, case, nonlinear_run, tmp_path):
+        rng = np.random.default_rng(7)
+        if case == "nonlinear_history":
+            scenario, history = nonlinear_run
+            matrix = absolute_density(scenario, history) * 1000.0
+        elif case == "stride_2_by_3":
+            matrix = rng.normal(50.0, 5.0, (479, 719))
+        elif case == "stride_3_by_4":
+            matrix = rng.normal(50.0, 5.0, (481, 721))
+        elif case == "constant":
+            matrix = np.full((3, 5), 7.0)
+        elif case == "maximum_hit":
+            # values on every palette boundary k * span / 63, the last one the maximum
+            matrix = (np.arange(64.0) * 0.1).reshape(4, 16)
+        else:
+            matrix = np.linspace(-1.0, 3.0, 37).reshape(1, 37)
+        path = tmp_path / "h.svg"
+        times = np.linspace(0.0, 120.0, matrix.shape[0])
+        positions = np.linspace(0.0, 2000.0, matrix.shape[1])
+        svg_heatmap(path, times, positions, matrix, title="T", value_label="-")
+        expected = _reference_rects(matrix)
+        lines = path.read_text().splitlines()
+        # after the XML header, the <svg> tag, the background and the title
+        assert lines[4:4 + len(expected)] == expected
+        assert 'fill="none"' in lines[4 + len(expected)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_heatmap_rejects_non_finite_values(self, bad, tmp_path):
+        matrix = np.full((3, 4), 5.0)
+        matrix[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            svg_heatmap(
+                tmp_path / "h.svg", np.arange(3.0), np.arange(4.0), matrix,
+                title="T", value_label="-",
+            )
 
     def test_lineplot_structure(self, tmp_path):
         path = tmp_path / "l.svg"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lwrvsl import TrafficParams, make_grid, params_from_paper_units
-from lwrvsl.params import KMH_PER_MPS, M_PER_KM
+from lwrvsl.params import KMH_PER_MPS, M_PER_KM, MAX_N_CELLS
 
 
 def _valid_kwargs(**overrides):
@@ -128,6 +128,9 @@ class TestGrid:
             make_grid(2000.0, 1)
         with pytest.raises(ValueError):
             make_grid(2000.0, 0)
+        with pytest.raises(ValueError):
+            make_grid(2000.0, MAX_N_CELLS + 1)
+        assert make_grid(2000.0, MAX_N_CELLS).cell_centers.size == MAX_N_CELLS
         with pytest.raises(ValueError):
             make_grid(0.0, 10)
         with pytest.raises(ValueError):
