@@ -39,7 +39,6 @@ from .scenario import (
     REFERENCE_Q0_VALUES,
     Scenario,
     SimulationHistory,
-    SweepResult,
     absolute_density,
     initial_condition,
     reference_scenario,
@@ -72,7 +71,6 @@ __all__ = [
     "Scenario",
     "SimulationHistory",
     "SolverError",
-    "SweepResult",
     "TrafficParams",
     "absolute_density",
     "apply_boundary",

@@ -66,10 +66,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    text = ""
-    if args.config is not None:
-        text = Path(args.config).read_text()
+def _load_config(args: argparse.Namespace, text: str) -> RunConfig:
     config = parse_config(text)
     scenario = config.scenario
     if args.model is not None:
@@ -91,23 +88,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_simulate(config: RunConfig) -> int:
     """Run one simulation and write its artifact set."""
-    try:
-        history = run_simulation(config.scenario, config.output_cadence, config.cfl)
-    except SolverError as exc:
-        print(f"solver abort: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        written = write_run_artifacts(
-            config.output_dir,
-            config.scenario,
-            history,
-            config.formats,
-            config.cfl,
-            config.output_cadence,
-        )
-    except OSError as exc:
-        print(f"write failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    history = run_simulation(config.scenario, config.output_cadence, config.cfl)
+    written = write_run_artifacts(config.output_dir, history, config.formats)
     print(f"wrote {len(written)} files to {config.output_dir}")
     print(f"final total cars: {history.total_cars_series[-1]:.6g}")
     return EXIT_OK
@@ -116,54 +98,31 @@ def cmd_simulate(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig, q0_list: list[float]) -> int:
     """Run the members through sweep_q0 and write their artifacts.
 
-    Failed members are reported and left out; the others are kept.
+    Failed members are reported and left out; the others are kept. A bad
+    q0 list and a failed write of the combined files raise, for main.
     """
-    try:
-        members, failures = sweep_q0(
-            config.scenario, q0_list, config.output_cadence, config.cfl
-        )
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    members, failures = sweep_q0(config.scenario, q0_list, config.output_cadence, config.cfl)
     out = Path(config.output_dir)
     written = []
-    for member in members:
-        label = q0_label(member.q0)
+    for history in members:
+        label = q0_label(history.scenario.q0)
         try:
-            write_run_artifacts(
-                out / f"q0_{label}",
-                dataclasses.replace(config.scenario, q0=member.q0),
-                member.history,
-                config.formats,
-                config.cfl,
-                config.output_cadence,
-            )
-            written.append(member)
+            write_run_artifacts(out / f"q0_{label}", history, config.formats)
+            written.append(history)
         except OSError as exc:
             failures[label] = str(exc)
     for label, message in failures.items():
         print(f"sweep member q0={label} failed: {message}", file=sys.stderr)
     if written:
-        try:
-            write_sweep_artifacts(out, config.scenario, written, failures, config.formats)
-        except OSError as exc:
-            print(f"write failure: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
+        write_sweep_artifacts(out, written, failures, config.formats)
     return EXIT_SOLVER if failures else EXIT_OK
 
 
 def cmd_riccati(config: RunConfig, q0_values: list[float]) -> int:
     """Emit Phi(z) and K0(z) for one or more q0 values."""
-    try:
-        written = write_riccati_artifacts(
-            config.output_dir, config.scenario, q0_values, config.formats
-        )
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"write failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    written = write_riccati_artifacts(
+        config.output_dir, config.scenario, q0_values, config.formats
+    )
     print(f"wrote {len(written)} files to {config.output_dir}")
     return EXIT_OK
 
@@ -181,29 +140,36 @@ def cmd_verify() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place that maps an exception to an exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
         return cmd_verify()
     try:
-        config = _load_config(args)
+        text = "" if args.config is None else Path(args.config).read_text()
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    q0_list = args.q0 or []
+    try:
+        config = _load_config(args, text)
+        if args.command == "simulate":
+            if len(q0_list) > 1:
+                print("simulate takes at most one --q0", file=sys.stderr)
+                return EXIT_USAGE
+            return cmd_simulate(config)
+        if args.command == "sweep":
+            return cmd_sweep(config, q0_list or list(REFERENCE_Q0_VALUES))
+        return cmd_riccati(config, q0_list or [config.scenario.q0])
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    q0_list = args.q0 or []
-    if args.command == "simulate":
-        if len(q0_list) > 1:
-            print("simulate takes at most one --q0", file=sys.stderr)
-            return EXIT_USAGE
-        return cmd_simulate(config)
-    if args.command == "sweep":
-        return cmd_sweep(config, q0_list or list(REFERENCE_Q0_VALUES))
-    if args.command == "riccati":
-        return cmd_riccati(config, q0_list or [config.scenario.q0])
-    raise AssertionError(f"unhandled command {args.command!r}")
+    except SolverError as exc:
+        print(f"solver abort: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OSError as exc:
+        print(f"write failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

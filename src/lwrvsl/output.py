@@ -23,7 +23,6 @@ from .riccati import assemble_problem, feedback_gain, phi_closed_form
 from .scenario import (
     Scenario,
     SimulationHistory,
-    SweepResult,
     absolute_density,
     mass_balance_defect,
     q0_label,
@@ -89,10 +88,9 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def run_summary(
-    scenario: Scenario, history: SimulationHistory, cfl: float, cadence: float
-) -> dict:
+def run_summary(history: SimulationHistory) -> dict:
     """Stable-keyed summary of one run, in road units."""
+    scenario = history.scenario
     p = scenario.params
     # rounding is monotone: the shifted extrema are absolute_density's, bitwise
     low, high = float(history.density_frames.min()), float(history.density_frames.max())
@@ -105,8 +103,8 @@ def run_summary(
         "q0": scenario.q0,
         "r0": scenario.r0,
         "n_cells": scenario.grid.n_cells,
-        "cfl": cfl,
-        "output_cadence_s": cadence,
+        "cfl": history.cfl,
+        "output_cadence_s": history.frame_interval,
         "frames": int(history.times.size),
         "params": {
             "rho_max_per_km": p.rho_max * M_PER_KM,
@@ -335,23 +333,21 @@ def _artifact_set(out_dir: Path | str):
 
 
 def write_run_artifacts(
-    out_dir: Path | str,
-    scenario: Scenario,
-    history: SimulationHistory,
-    formats: tuple[str, ...],
-    cfl: float,
-    cadence: float,
+    out_dir: Path | str, history: SimulationHistory, formats: tuple[str, ...]
 ) -> list[Path]:
     """Write the per-run file set; on failure remove partial files.
 
     The speed per cell is b u_max (1 - rho/rho_max), with b averaged from
-    the two interfaces of the cell.
+    the two interfaces of the cell. The density and speed matrices are
+    built only for the csv and svg formats, which write them.
     """
-    grid = scenario.grid
-    absolute = absolute_density(scenario, history)
+    grid = history.scenario.grid
     vsl = history.vsl_frames
-    density = absolute * M_PER_KM
-    speed = vsl_speed(absolute, 0.5 * (vsl[:, :-1] + vsl[:, 1:]), scenario.params) * KMH_PER_MPS
+    if "csv" in formats or "svg" in formats:
+        absolute = absolute_density(history)
+        density = absolute * M_PER_KM
+        b_cells = 0.5 * (vsl[:, :-1] + vsl[:, 1:])
+        speed = vsl_speed(absolute, b_cells, history.scenario.params) * KMH_PER_MPS
 
     with _artifact_set(out_dir) as (written, reserve):
         if "csv" in formats:
@@ -366,7 +362,7 @@ def write_run_artifacts(
             ):
                 write_wide_csv(reserve(name), header, np.column_stack((history.times, matrix)))
         if "json" in formats:
-            write_json(reserve("summary.json"), run_summary(scenario, history, cfl, cadence))
+            write_json(reserve("summary.json"), run_summary(history))
         if "svg" in formats:
             svg_heatmap(
                 reserve("density.svg"), history.times, grid.cell_centers, density,
@@ -385,36 +381,42 @@ def write_run_artifacts(
 
 def write_sweep_artifacts(
     out_dir: Path | str,
-    scenario: Scenario,
-    members: list[SweepResult],
+    members: list[SimulationHistory],
     failures: dict[str, str],
     formats: tuple[str, ...],
 ) -> list[Path]:
-    """The combined sweep files over the members; on failure remove partial files.
+    """The combined sweep files over the member runs; on failure remove partial files.
 
-    failures maps the q0 label of each member left out to its message.
+    The members differ only in q0. failures maps the q0 label of each
+    member left out to its message.
     """
-    times = members[0].history.times
+    times = members[0].times
+    target = target_cars(members[0].scenario.params)
+    by_label = {q0_label(m.scenario.q0): m for m in members}
     with _artifact_set(out_dir) as (written, reserve):
         if "csv" in formats:
             write_wide_csv(
                 reserve("total_cars_sweep.csv"),
-                ["t_s", *(f"total_cars[q0={q0_label(m.q0)}]" for m in members)],
-                np.column_stack((times, *(m.history.total_cars_series for m in members))),
+                ["t_s", *(f"total_cars[q0={label}]" for label in by_label)],
+                np.column_stack((times, *(m.total_cars_series for m in members))),
             )
         if "json" in formats:
             payload = {
-                "q0_values": [m.q0 for m in members],
-                "target_cars": target_cars(scenario.params),
-                "final_total_cars": {q0_label(m.q0): m.final_total_cars for m in members},
-                "time_to_target_s": {q0_label(m.q0): m.time_to_target for m in members},
+                "q0_values": [m.scenario.q0 for m in members],
+                "target_cars": target,
+                "final_total_cars": {
+                    label: float(m.total_cars_series[-1]) for label, m in by_label.items()
+                },
+                "time_to_target_s": {
+                    label: time_to_target(m, target) for label, m in by_label.items()
+                },
                 "failures": failures,
             }
             write_json(reserve("sweep_summary.json"), payload)
         if "svg" in formats:
             svg_lineplot(
                 reserve("total_cars_sweep.svg"), times,
-                [(f"q0={q0_label(m.q0)}", m.history.total_cars_series) for m in members],
+                [(f"q0={label}", m.total_cars_series) for label, m in by_label.items()],
                 title="Total cars on the road section", x_label="t [s]", y_label="total cars",
             )
     return written

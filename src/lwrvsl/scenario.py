@@ -132,9 +132,11 @@ class SimulationHistory:
     and control_frames db/dz, both of shape (frames, cells + 1), one
     column per interface; the writer derives the speed from density and
     b. inflow_cars and outflow_cars accumulate the time-integrated
-    boundary interface fluxes of the solver. The frame matrices are left
-    out of the repr, which would otherwise print every cell of every
-    frame.
+    boundary interface fluxes of the solver. scenario, cfl and
+    frame_interval are the inputs run_simulation was given, so the record
+    alone says which run it holds. The frame matrices and the scenario
+    are left out of the repr, which would otherwise print every cell of
+    every frame.
     """
 
     times: np.ndarray
@@ -144,6 +146,9 @@ class SimulationHistory:
     total_cars_series: np.ndarray
     inflow_cars: float
     outflow_cars: float
+    scenario: Scenario = dataclasses.field(repr=False)
+    cfl: float
+    frame_interval: float
 
     def __post_init__(self) -> None:
         # read-only views, so that the run's matrices are not copied
@@ -158,16 +163,6 @@ class SimulationHistory:
             frames.ndim != 2 or len(frames) != n for frames in frame_sets
         ):
             raise ValueError("all frame sequences must share the length of times")
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """One member of a q0 sweep: the run plus its regulation summary."""
-
-    q0: float
-    history: SimulationHistory
-    final_total_cars: float
-    time_to_target: float | None
 
 
 def boundary_ramp(
@@ -261,14 +256,14 @@ def total_cars(rho: np.ndarray, grid: Grid1D) -> float:
     return float(np.sum(rho) * grid.dz)
 
 
-def absolute_density(scenario: Scenario, history: SimulationHistory) -> np.ndarray:
+def absolute_density(history: SimulationHistory) -> np.ndarray:
     """The run's absolute density in cars/m, one row per frame.
 
     Linear runs record rho - rho_0, so their frames are shifted by rho_0;
     nonlinear runs return the stored, read-only matrix.
     """
-    if scenario.model == "linear":
-        return history.density_frames + scenario.params.rho_0
+    if history.scenario.model == "linear":
+        return history.density_frames + history.scenario.params.rho_0
     return history.density_frames
 
 
@@ -394,6 +389,9 @@ def run_simulation(
         total_cars_series=totals,
         inflow_cars=inflow,
         outflow_cars=outflow,
+        scenario=scenario,
+        cfl=cfl,
+        frame_interval=frame_interval,
     )
 
 
@@ -423,30 +421,19 @@ def sweep_q0(
     q0_list: list[float],
     frame_interval: float = REFERENCE_CADENCE,
     cfl: float = REFERENCE_CFL,
-) -> tuple[list[SweepResult], dict[str, str]]:
+) -> tuple[list[SimulationHistory], dict[str, str]]:
     """Run one simulation per q0, identical otherwise.
 
     q0_members checks the list before any run starts. A member whose run
     raises SolverError or ValueError is recorded under its q0_label with
-    its message, and the other members run as before. Returns the members
-    that ran, each with its final car count and time_to_target, and the
-    failures.
+    its message, and the other members run as before. Returns the
+    histories of the members that ran, in list order, and the failures.
     """
-    target = target_cars(scenario.params)
-    results = []
+    histories = []
     failures: dict[str, str] = {}
     for member in q0_members(scenario, q0_list):
         try:
-            history = run_simulation(member, frame_interval, cfl)
+            histories.append(run_simulation(member, frame_interval, cfl))
         except (SolverError, ValueError) as exc:
             failures[q0_label(member.q0)] = str(exc)
-            continue
-        results.append(
-            SweepResult(
-                q0=member.q0,
-                history=history,
-                final_total_cars=float(history.total_cars_series[-1]),
-                time_to_target=time_to_target(history, target),
-            )
-        )
-    return results, failures
+    return histories, failures

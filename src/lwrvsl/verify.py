@@ -265,7 +265,7 @@ def linearization_gaps() -> list[float]:
             scenario = reference_scenario(
                 model=model, control_enabled=False, amplitude_scale=scale
             )
-            finals.append(absolute_density(scenario, run_simulation(scenario))[-1])
+            finals.append(absolute_density(run_simulation(scenario))[-1])
         gaps.append(float(np.max(np.abs(finals[0] - finals[1]))))
     return gaps
 

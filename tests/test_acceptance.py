@@ -41,7 +41,11 @@ TABLE_ARGS = (160.0, 115.0, 50.0, 2000.0, 120.0, 1.0)
 
 
 def _member(sweep, q0):
-    return next(m for m in sweep if m.q0 == q0)
+    return next(m for m in sweep if m.scenario.q0 == q0)
+
+
+def _final_cars(history):
+    return float(history.total_cars_series[-1])
 
 
 def _exact_linear_total_cars(q0, times):
@@ -127,7 +131,7 @@ class TestAcceptance:
             assert gap <= 1e-12, f"q0={q0:g}: feedback path gap {gap:.3e}"
 
     def test_nonlinear_mass_balance(self, nonlinear_sweep, nonlinear_baseline):
-        histories = [m.history for m in nonlinear_sweep] + [nonlinear_baseline]
+        histories = [*nonlinear_sweep, nonlinear_baseline]
         for history in histories:
             defect = (
                 history.total_cars_series[-1]
@@ -154,11 +158,11 @@ class TestAcceptance:
 
     def test_linear_closed_loop_matches_characteristics_solution(self, linear_sweep):
         gaps = {}
-        for member in linear_sweep:
-            history = member.history
-            exact = _exact_linear_total_cars(member.q0, history.times)
+        for history in linear_sweep:
+            q0 = history.scenario.q0
+            exact = _exact_linear_total_cars(q0, history.times)
             gap = np.max(np.abs(history.total_cars_series - exact))
-            gaps[f"{member.q0:g}"] = round(float(gap), 4)
+            gaps[f"{q0:g}"] = round(float(gap), 4)
         assert max(gaps.values()) <= 0.05, (
             f"worst gap to the exact closed-loop count, cars per q0: {gaps}"
         )
@@ -167,24 +171,25 @@ class TestAcceptance:
         # The exact closed loop of the documented reference data is still
         # at 105.398 cars at t=40 s and enters the 5% band at 49.5 s, so the
         # band is required no later than the exact solution enters it.
-        member = _member(linear_sweep, 5e-4)
-        history = member.history
+        history = _member(linear_sweep, 5e-4)
         target = target_cars(reference_scenario().params)
         exact = dataclasses.replace(
-            history, total_cars_series=_exact_linear_total_cars(member.q0, history.times)
+            history,
+            total_cars_series=_exact_linear_total_cars(history.scenario.q0, history.times),
         )
+        entry = time_to_target(history, target)
         exact_entry = time_to_target(exact, target)
         at_40 = np.searchsorted(history.times, 40.0)
-        assert member.time_to_target is not None and member.time_to_target <= exact_entry, (
+        assert entry is not None and entry <= exact_entry, (
             f"count must stay within 5% of {target:g} cars from t={exact_entry} s on, "
             f"when the exact closed loop enters the band; simulated entry "
-            f"{member.time_to_target} s; at t=40 s simulated "
+            f"{entry} s; at t=40 s simulated "
             f"{float(history.total_cars_series[at_40]):.4f} cars, exact "
             f"{float(exact.total_cars_series[at_40]):.4f} cars"
         )
 
     def test_final_cars_ordering_in_q0_and_model(self, linear_sweep, nonlinear_sweep):
-        finals = [m.final_total_cars for m in linear_sweep]
+        finals = [_final_cars(m) for m in linear_sweep]
         for (qa, a), (qb, b) in zip(
             zip(REFERENCE_Q0_VALUES, finals), zip(REFERENCE_Q0_VALUES[1:], finals[1:])
         ):
@@ -193,27 +198,23 @@ class TestAcceptance:
                 f"q0={qa:g} gives {a:.4f}, q0={qb:g} gives {b:.4f}"
             )
         for lin, non in zip(linear_sweep, nonlinear_sweep):
-            assert non.final_total_cars >= lin.final_total_cars, (
-                f"q0={lin.q0:g}: nonlinear final {non.final_total_cars:.4f} cars "
-                f"< linear final {lin.final_total_cars:.4f} cars"
+            assert _final_cars(non) >= _final_cars(lin), (
+                f"q0={lin.scenario.q0:g}: nonlinear final {_final_cars(non):.4f} cars "
+                f"< linear final {_final_cars(lin):.4f} cars"
             )
 
     def test_weak_control_stagnates_above_105(self, linear_sweep):
-        member = _member(linear_sweep, 1e-6)
-        assert member.final_total_cars > 105.0, (
-            f"q0=1e-6 final {member.final_total_cars:.4f} cars"
+        final = _final_cars(_member(linear_sweep, 1e-6))
+        assert final > 105.0, (
+            f"q0=1e-6 final {final:.4f} cars"
         )
 
     def test_free_flow_density_bound(
         self, linear_sweep, nonlinear_sweep, linear_baseline, nonlinear_baseline
     ):
-        runs = (
-            [("linear", m.history) for m in linear_sweep]
-            + [("nonlinear", m.history) for m in nonlinear_sweep]
-            + [("linear", linear_baseline), ("nonlinear", nonlinear_baseline)]
-        )
-        for model, history in runs:
-            peak = float(absolute_density(reference_scenario(model=model), history).max())
+        runs = [*linear_sweep, *nonlinear_sweep, linear_baseline, nonlinear_baseline]
+        for history in runs:
+            peak = float(absolute_density(history).max())
             assert peak * 1000.0 < 80.0, f"peak density {peak * 1000.0:.3f} cars/km"
 
     def test_zero_perturbation_and_control_off_invariance(self):

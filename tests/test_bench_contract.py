@@ -93,10 +93,9 @@ def test_writer_byte_counters_match_the_files(bench, tmp_path):
     formats = ("csv", "json", "svg")
 
     def write_all():
-        history = members[0].history
-        return write_run_artifacts(
-            tmp_path / "run", scenario, history, formats, 0.9, 1.0
-        ) + write_sweep_artifacts(tmp_path / "sweep", scenario, members, {}, formats)
+        return write_run_artifacts(tmp_path / "run", members[0], formats) + (
+            write_sweep_artifacts(tmp_path / "sweep", members, {}, formats)
+        )
 
     files = tracer.run_op(write_all)
     writer_of = {".csv": "output.write_wide_csv", ".json": "output.write_json",

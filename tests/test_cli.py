@@ -182,6 +182,13 @@ class TestSweep:
         assert set(summary["final_total_cars"]) == {"1e-05", "0.0005"}
         assert summary["failures"] == {}
         assert (out / "total_cars_sweep.svg").exists()
+        # each member's own record: its q0 and the config's numerics
+        config = parse_config(TINY_CONFIG)
+        for label, q0 in (("1e-05", 1e-5), ("0.0005", 5e-4)):
+            member = json.loads((out / f"q0_{label}" / "summary.json").read_text())
+            assert member["q0"] == q0
+            assert member["cfl"] == config.cfl
+            assert member["output_cadence_s"] == config.output_cadence == 2.0
 
     def test_default_members(self, config_file, tmp_path):
         out = tmp_path / "sweep"
@@ -230,10 +237,11 @@ class TestSweep:
         combined = {"total_cars_sweep.csv", "sweep_summary.json", "total_cars_sweep.svg"}
         assert {p.name for p in out.iterdir()} & combined == {blocked}
 
-    def test_empty_member_list_is_usage_error(self, capsys):
+    def test_empty_member_list_is_usage_error(self):
+        # main maps the ValueError to exit 1, as test_bad_q0_is_config_error checks
         config = parse_config(TINY_CONFIG)
-        assert cmd_sweep(config, []) == 1
-        assert "non-empty q0 list" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="non-empty q0 list"):
+            cmd_sweep(config, [])
 
 
 class TestRiccati:

@@ -32,13 +32,13 @@ from lwrvsl.output import (
 @pytest.fixture(scope="module")
 def linear_run():
     scenario = reference_scenario(model="linear", n_cells=16, sim_time=4.0)
-    return scenario, run_simulation(scenario, frame_interval=1.0)
+    return run_simulation(scenario, frame_interval=1.0)
 
 
 @pytest.fixture(scope="module")
 def nonlinear_run():
     scenario = reference_scenario(model="nonlinear", n_cells=16, sim_time=4.0)
-    return scenario, run_simulation(scenario, frame_interval=1.0)
+    return run_simulation(scenario, frame_interval=1.0)
 
 
 def _reference_rects(matrix):
@@ -131,8 +131,8 @@ class TestJsonWriter:
 
 class TestRunSummary:
     def test_linear_summary_fields(self, linear_run):
-        scenario, history = linear_run
-        summary = run_summary(scenario, history, 0.9, 1.0)
+        history = linear_run
+        summary = run_summary(history)
         assert summary["model"] == "linear"
         assert summary["control_enabled"] is True
         assert summary["q0"] == 5e-5
@@ -150,16 +150,16 @@ class TestRunSummary:
         assert summary["time_to_target_s"] is None or summary["time_to_target_s"] >= 0.0
 
     def test_nonlinear_summary_reports_mass_balance(self, nonlinear_run):
-        scenario, history = nonlinear_run
-        summary = run_summary(scenario, history, 0.9, 1.0)
+        history = nonlinear_run
+        summary = run_summary(history)
         balance = summary["mass_balance"]
         assert balance["inflow_cars"] > 0.0
         assert balance["outflow_cars"] > 0.0
         assert balance["defect_relative"] < 1e-9
 
     def test_summary_is_json_serializable(self, linear_run, tmp_path):
-        scenario, history = linear_run
-        write_json(tmp_path / "s.json", run_summary(scenario, history, 0.9, 1.0))
+        history = linear_run
+        write_json(tmp_path / "s.json", run_summary(history))
         loaded = json.loads((tmp_path / "s.json").read_text())
         assert loaded["params"]["road_length_m"] == 2000.0
 
@@ -204,8 +204,8 @@ class TestSvgWriters:
     def test_heatmap_rects_match_the_per_rect_loop(self, case, nonlinear_run, tmp_path):
         rng = np.random.default_rng(7)
         if case == "nonlinear_history":
-            scenario, history = nonlinear_run
-            matrix = absolute_density(scenario, history) * 1000.0
+            history = nonlinear_run
+            matrix = absolute_density(history) * 1000.0
         elif case == "stride_2_by_3":
             matrix = rng.normal(50.0, 5.0, (479, 719))
         elif case == "stride_3_by_4":
@@ -253,11 +253,9 @@ class TestSvgWriters:
 
 class TestRunArtifacts:
     def test_full_format_set(self, linear_run, tmp_path):
-        scenario, history = linear_run
+        history = linear_run
         out = tmp_path / "run"
-        written = write_run_artifacts(
-            out, scenario, history, ("csv", "json", "svg"), 0.9, 1.0
-        )
+        written = write_run_artifacts(out, history, ("csv", "json", "svg"))
         names = sorted(p.name for p in written)
         assert names == [
             "control.csv",
@@ -273,26 +271,22 @@ class TestRunArtifacts:
         assert all(p.exists() for p in written)
 
     def test_density_csv_contents(self, linear_run, tmp_path):
-        scenario, history = linear_run
-        written = write_run_artifacts(
-            tmp_path / "run", scenario, history, ("csv",), 0.9, 1.0
-        )
+        history = linear_run
+        written = write_run_artifacts(tmp_path / "run", history, ("csv",))
         density_path = next(p for p in written if p.name == "density.csv")
         lines = density_path.read_text().splitlines()
         assert lines[0].startswith("t_s/density_cars_per_km,z_m=62.5,z_m=187.5")
         assert len(lines) == 1 + len(history.times)
         first_row = [float(cell) for cell in lines[1].split(",")]
         assert first_row[0] == 0.0
-        expected = absolute_density(scenario, history)[0] * 1000.0
+        expected = absolute_density(history)[0] * 1000.0
         assert np.array_equal(np.array(first_row[1:]), expected)
 
     def test_speed_csv_contents(self, nonlinear_run, tmp_path):
         # per frame: b averaged to the cells times the Greenshield speed, in km/h
-        scenario, history = nonlinear_run
-        p = scenario.params
-        written = write_run_artifacts(
-            tmp_path / "run", scenario, history, ("csv",), 0.9, 1.0
-        )
+        history = nonlinear_run
+        p = history.scenario.params
+        written = write_run_artifacts(tmp_path / "run", history, ("csv",))
         speed_path = next(path for path in written if path.name == "speed.csv")
         lines = speed_path.read_text().splitlines()
         assert lines[0].startswith("t_s/speed_kph,z_m=62.5,")
@@ -303,10 +297,8 @@ class TestRunArtifacts:
         assert any(np.any(b != 1.0) for b in history.vsl_frames)
 
     def test_vsl_csv_covers_interfaces(self, linear_run, tmp_path):
-        scenario, history = linear_run
-        written = write_run_artifacts(
-            tmp_path / "run", scenario, history, ("csv",), 0.9, 1.0
-        )
+        history = linear_run
+        written = write_run_artifacts(tmp_path / "run", history, ("csv",))
         vsl_path = next(p for p in written if p.name == "vsl.csv")
         header = vsl_path.read_text().splitlines()[0]
         assert header.startswith("t_s/vsl_rate,z_m=0,")
@@ -314,10 +306,8 @@ class TestRunArtifacts:
         assert len(header.split(",")) == 1 + 17
 
     def test_csv_only(self, linear_run, tmp_path):
-        scenario, history = linear_run
-        written = write_run_artifacts(
-            tmp_path / "run", scenario, history, ("csv",), 0.9, 1.0
-        )
+        history = linear_run
+        written = write_run_artifacts(tmp_path / "run", history, ("csv",))
         assert sorted(p.name for p in written) == [
             "control.csv",
             "density.csv",
@@ -326,8 +316,18 @@ class TestRunArtifacts:
             "vsl.csv",
         ]
 
+    def test_json_only_builds_no_frame_matrices(self, nonlinear_run, tmp_path, monkeypatch):
+        # the speed matrix feeds only speed.csv and speed.svg
+        def boom(*args, **kwargs):
+            raise AssertionError("vsl_speed called for a json-only write")
+
+        monkeypatch.setattr(output_module, "vsl_speed", boom)
+        written = write_run_artifacts(tmp_path / "run", nonlinear_run, ("json",))
+        assert [p.name for p in written] == ["summary.json"]
+        assert json.loads(written[0].read_text()) == run_summary(nonlinear_run)
+
     def test_partial_failure_removes_files(self, linear_run, tmp_path, monkeypatch):
-        scenario, history = linear_run
+        history = linear_run
 
         def boom(*args, **kwargs):
             raise RuntimeError("disk full")
@@ -335,7 +335,7 @@ class TestRunArtifacts:
         monkeypatch.setattr(output_module, "svg_heatmap", boom)
         out = tmp_path / "run"
         with pytest.raises(RuntimeError, match="disk full"):
-            write_run_artifacts(out, scenario, history, ("csv", "svg"), 0.9, 1.0)
+            write_run_artifacts(out, history, ("csv", "svg"))
         assert list(out.iterdir()) == []
 
 
@@ -343,12 +343,12 @@ class TestSweepArtifacts:
     def test_total_cars_sweep_csv_reads_back_bitwise(self, tmp_path):
         scenario = reference_scenario(model="nonlinear", n_cells=16, sim_time=4.0)
         members, failures = sweep_q0(scenario, [1e-5, 5e-4], frame_interval=1.0)
-        write_sweep_artifacts(tmp_path, scenario, members, failures, ("csv",))
+        write_sweep_artifacts(tmp_path, members, failures, ("csv",))
         header, table = _read_table(tmp_path / "total_cars_sweep.csv")
         assert header == ["t_s", "total_cars[q0=1e-05]", "total_cars[q0=0.0005]"]
-        assert table[:, 0].tobytes() == members[0].history.times.tobytes()
+        assert table[:, 0].tobytes() == members[0].times.tobytes()
         for column, member in zip(table[:, 1:].T, members):
-            assert column.tobytes() == member.history.total_cars_series.tobytes()
+            assert column.tobytes() == member.total_cars_series.tobytes()
 
 
 class TestRiccatiArtifacts:

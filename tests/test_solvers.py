@@ -34,7 +34,7 @@ FREE_WAVE = 11.979166666666666
 densities = st.floats(min_value=0.0, max_value=0.16, allow_nan=False)
 
 
-def _frames_history(frames):
+def _frames_history(frames, scenario):
     n = len(frames)
     zeros = np.zeros(len(frames[0]) + 1)
     return SimulationHistory(
@@ -45,6 +45,9 @@ def _frames_history(frames):
         total_cars_series=np.zeros(n),
         inflow_cars=0.0,
         outflow_cars=0.0,
+        scenario=scenario,
+        cfl=0.9,
+        frame_interval=1.0,
     )
 
 
@@ -52,7 +55,7 @@ class TestToAbsolute:
     def test_shifts_perturbations(self):
         scenario = reference_scenario(model="linear")
         frames = (np.array([0.01, -0.01]), np.array([0.0, 0.02]))
-        absolute = absolute_density(scenario, _frames_history(frames))
+        absolute = absolute_density(_frames_history(frames, scenario))
         assert absolute.shape == (2, 2)
         for row, frame in zip(absolute, frames):
             assert np.array_equal(row, frame + scenario.params.rho_0)
@@ -60,7 +63,7 @@ class TestToAbsolute:
     def test_absolute_passes_through(self):
         scenario = reference_scenario(model="nonlinear")
         frames = (np.array([0.05, 0.04]), np.array([0.06, 0.05]))
-        absolute = absolute_density(scenario, _frames_history(frames))
+        absolute = absolute_density(_frames_history(frames, scenario))
         assert np.array_equal(absolute, np.stack(frames))
 
 
