@@ -5,8 +5,8 @@ u(rho) = b * u_max * (1 - rho/rho_max) and the flux q = rho * u stays a
 concave parabola with its maximum at the critical density rho_max/2 for
 every b >= 0.
 
-The relations do not check their arguments, which Scenario and the
-steppers keep in range (rho in [0, rho_max], b >= 0).
+The relations do not check their arguments, which Scenario and the density
+check of run_simulation keep in range (rho in [0, rho_max], b >= 0).
 """
 
 from __future__ import annotations

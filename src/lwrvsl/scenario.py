@@ -13,8 +13,8 @@ advances one explicit step. The nonlinear plant reuses the linear
 feedback law on its live perturbation rho - rho_0.
 
 Scenario validates a run's inputs once, at entry, and q0_members does
-the same for a list of q0 values; the loop passes plain arrays and
-checks only the CFL condition and each step's density bound.
+the same for a list of q0 values; stable_dt fixes the step size, and the
+loop passes plain arrays and checks only each step's density bound.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .params import (
 from .riccati import (
     DEFAULT_B_CLAMP, assemble_problem, control_field, feedback_gain, integrate_vsl,
 )
-from .solvers import SolverError, apply_boundary, step_linear, step_nonlinear
+from .solvers import SolverError, apply_boundary, stable_dt, step_linear, step_nonlinear
 
 MODELS = ("linear", "nonlinear")
 
@@ -298,6 +298,16 @@ def mass_balance_defect(history: SimulationHistory) -> tuple[float, float]:
     return float(defect), float(abs(defect) / totals[0])
 
 
+def _check_density(absolute: np.ndarray, t: float, scenario: Scenario) -> None:
+    """Raise SolverError unless every absolute density lies in [0, rho_max]; NaN fails."""
+    low, high = absolute.min(), absolute.max()
+    if not 0.0 <= low <= high <= scenario.params.rho_max:
+        raise SolverError(
+            f"density left [0, rho_max] in the {scenario.model} run at t={t}: "
+            f"min={low}, max={high}"
+        )
+
+
 def run_simulation(
     scenario: Scenario,
     frame_interval: float = REFERENCE_CADENCE,
@@ -307,19 +317,20 @@ def run_simulation(
 
     The feedback gain K0 at the interfaces is computed once. Per step:
     attach boundary ghosts at the current time, take one explicit step,
-    and recompute the control and VSL profile from the new perturbation
-    field (when enabled). The step size is fixed from the worst-case wave
-    speed b_cap * u_max (b_cap being the clamp ceiling when control is
-    on, else b_0) and shortened only to land exactly on frame instants.
+    stop with SolverError if the density left [0, rho_max], and recompute
+    the control and VSL profile from the new perturbation field (when
+    enabled). The step size is stable_dt on the worst-case wave speed
+    b_cap * u_max (b_cap being the clamp ceiling when control is on, else
+    b_0), shortened only to land exactly on frame instants.
     The frame instants, every frame_interval seconds and at T, are listed
     first; one row of density, VSL rate, control and total cars is filled
     at each.
     """
     require_positive("frame_interval", frame_interval)
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError("cfl must lie in (0, 1]")
     p = scenario.params
     grid = scenario.grid
+    b_cap = scenario.clamp[1] if scenario.control_enabled else p.b_0
+    dt_fixed = stable_dt(grid.dz, b_cap * p.u_max, cfl)
     linear = scenario.model == "linear"
     gain = (
         feedback_gain(grid.interfaces, assemble_problem(p, scenario.q0, scenario.r0))
@@ -330,8 +341,6 @@ def run_simulation(
     ic = initial_condition(grid.cell_centers, scenario)
     state = ic - p.rho_0 if linear else ic
 
-    b_cap = scenario.clamp[1] if scenario.control_enabled else p.b_0
-    dt_fixed = cfl * grid.dz / (b_cap * p.u_max)
     zero_control = np.zeros(grid.n_cells + 1)
     base_profile = np.full(grid.n_cells + 1, p.b_0)
 
@@ -369,12 +378,7 @@ def run_simulation(
             inflow += dt * fluxes[0]
             outflow += dt * fluxes[-1]
             t = next_frame if at_frame else t + dt
-            if linear:
-                absolute = state + p.rho_0
-                if not 0.0 <= absolute.min() <= absolute.max() <= p.rho_max:
-                    raise SolverError(
-                        f"density left [0, rho_max] in the linear run at t={t}"
-                    )
+            _check_density(state + p.rho_0 if linear else state, t, scenario)
             # the control of the new state drives the next step and, at a frame, is recorded
             u_opt, b_profile = controls(state)
         density_frames[row] = state

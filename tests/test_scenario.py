@@ -15,10 +15,13 @@ from lwrvsl import (
     SimulationHistory,
     SolverError,
     absolute_density,
+    characteristic_speed,
     initial_condition,
     make_grid,
     reference_scenario,
     run_simulation,
+    step_linear,
+    step_nonlinear,
     sweep_q0,
     target_cars,
     time_to_target,
@@ -353,7 +356,28 @@ class TestSweep:
 
 
 class TestGeneratedScenarios:
-    """Run invariants over drawn scenarios; the inner loop itself checks nothing per flux."""
+    """Run invariants over drawn scenarios, each step's Courant number among them.
+
+    The inner loop itself checks nothing per flux and the steppers nothing at all.
+    """
+
+    @staticmethod
+    def _courant_checked(courants):
+        """The two steppers, wrapped to record max|dq/drho| dt / dz on every call."""
+
+        def linear(grid, extended, u_opt, params, dt):
+            speed = abs(characteristic_speed(params.rho_0, params.b_0, params))
+            courants.append(speed * dt / grid.dz)
+            return step_linear(grid, extended, u_opt, params, dt)
+
+        def nonlinear(grid, extended, b, params, dt):
+            # a wave next to an interface moves at most as fast as the larger b allows
+            b_adjacent = np.concatenate(([b[0]], np.maximum(b[:-1], b[1:]), [b[-1]]))
+            speed = np.max(np.abs(characteristic_speed(extended, b_adjacent, params)))
+            courants.append(speed * dt / grid.dz)
+            return step_nonlinear(grid, extended, b, params, dt)
+
+        return linear, nonlinear
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(
@@ -376,7 +400,13 @@ class TestGeneratedScenarios:
             amplitude_scale=amplitude_scale,
             sim_time=20.0,
         )
-        history = run_simulation(scenario)
+        courants = []
+        linear, nonlinear = self._courant_checked(courants)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario_module, "step_linear", linear)
+            patch.setattr(scenario_module, "step_nonlinear", nonlinear)
+            history = run_simulation(scenario)
+        assert courants and max(courants) <= scenario_module.REFERENCE_CFL
         absolute = absolute_density(history)
         assert absolute.min() >= 0.0
         assert absolute.max() <= scenario.params.rho_max

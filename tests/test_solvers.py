@@ -1,10 +1,11 @@
-"""Finite-volume steppers: boundaries, CFL limits, upwind and Godunov."""
+"""Finite-volume steppers: boundaries, the CFL step rule, upwind and Godunov."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lwrvsl.scenario as scenario_module
 from lwrvsl import (
     SimulationHistory,
     SolverError,
@@ -18,6 +19,7 @@ from lwrvsl import (
     step_linear,
     step_nonlinear,
 )
+from lwrvsl.solvers import stable_dt
 
 PARAMS = TrafficParams(
     rho_max=0.16,
@@ -115,10 +117,10 @@ class TestStepLinear:
         assert np.allclose(fluxes, expected, rtol=1e-12, atol=0.0)
 
     def test_rejects_cfl_violation(self):
+        # the linear plant's one wave speed is |V|
         grid = make_grid(2000.0, 400)
-        extended = apply_boundary(np.zeros(400), 0.0)
-        with pytest.raises(SolverError, match="CFL"):
-            step_linear(grid, extended, np.zeros(401), PARAMS, 1.0)
+        with pytest.raises(ValueError, match="cfl"):
+            stable_dt(grid.dz, FREE_WAVE, 1.5)
 
 
 class TestGodunovFlux:
@@ -194,18 +196,22 @@ class TestStepNonlinear:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-18)
 
     def test_rejects_cfl_violation(self):
+        # the nonlinear plant's waves are bounded by b u_max
         grid = make_grid(2000.0, 400)
-        extended = apply_boundary(np.full(400, 0.05), 0.05)
-        with pytest.raises(SolverError, match="CFL"):
-            step_nonlinear(grid, extended, np.ones(401), PARAMS, 1.0)
+        with pytest.raises(ValueError, match="cfl"):
+            stable_dt(grid.dz, PARAMS.b_0 * PARAMS.u_max, 1.5)
 
     def test_detects_density_escape(self):
         # at the critical density every characteristic speed vanishes, so
-        # the CFL guard cannot limit dt; a jump in the speed-limit profile
-        # then drains the last cell below zero within one large step
+        # no wave speed limits dt; a jump in the speed-limit profile then
+        # drains the last cell below zero within one large step, and the
+        # driver's density check stops the run on that state
         grid = make_grid(40.0, 8)
         extended = apply_boundary(np.full(8, RHO_C), RHO_C)
         b = np.full(9, 0.1)
         b[-1] = 2.0
-        with pytest.raises(SolverError, match="left \\[0, rho_max\\]"):
-            step_nonlinear(grid, extended, b, PARAMS, 0.5)
+        new_values, _ = step_nonlinear(grid, extended, b, PARAMS, 0.5)
+        assert new_values.min() < 0.0
+        scenario = reference_scenario(model="nonlinear")
+        with pytest.raises(SolverError, match="left \\[0, rho_max\\] in the nonlinear run"):
+            scenario_module._check_density(new_values, 0.5, scenario)
