@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .params import make_grid, params_from_paper_units, require_positive
+from .params import params_from_paper_units, require_positive
 from .riccati import DEFAULT_B_CLAMP
 from .scenario import (
     REFERENCE_BC_OSC_AMPLITUDE,
@@ -126,8 +126,9 @@ def parse_config(text: str) -> RunConfig:
     """Parse a YAML document into a RunConfig, applying defaults.
 
     Keys and value types are checked here. Each value's range is checked
-    once, by what it is passed to (TrafficParams, make_grid, boundary_ramp,
-    Scenario, RunConfig), and their ValueError is raised as ConfigError.
+    once, by what it is passed to (TrafficParams, boundary_ramp, Scenario
+    and the make_grid it calls, RunConfig), and their ValueError is raised
+    as ConfigError.
     """
     try:
         document = yaml.safe_load(text)
@@ -161,7 +162,6 @@ def _run_config(merged: dict[str, dict]) -> RunConfig:
     )
 
     num = merged["numerics"]
-    grid = make_grid(params.road_length, _count("numerics", "n_cells", num["n_cells"]))
 
     scn = merged["scenario"]
     bc_decay_rate, bc_growth_rate = boundary_ramp(scn["bc_reading"], params.road_length)
@@ -175,7 +175,7 @@ def _run_config(merged: dict[str, dict]) -> RunConfig:
     ctl = merged["control"]
     scenario = Scenario(
         params=params,
-        grid=grid,
+        n_cells=_count("numerics", "n_cells", num["n_cells"]),
         q0=_number("control", "q0", ctl["q0"]),
         bc_decay_rate=bc_decay_rate,
         bc_growth_rate=bc_growth_rate,

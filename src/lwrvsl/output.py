@@ -92,10 +92,8 @@ def run_summary(history: SimulationHistory) -> dict:
     """Stable-keyed summary of one run, in road units."""
     scenario = history.scenario
     p = scenario.params
-    # rounding is monotone: the shifted extrema are absolute_density's, bitwise
-    low, high = float(history.density_frames.min()), float(history.density_frames.max())
-    if scenario.model == "linear":
-        low, high = low + p.rho_0, high + p.rho_0
+    absolute = absolute_density(history)
+    low, high = float(absolute.min()), float(absolute.max())
     target = target_cars(p)
     summary = {
         "model": scenario.model,

@@ -19,6 +19,10 @@ whose solution is
 with the feedback u_opt(z) = K0(z) drho(z), K0 = -B0 Phi / R0. A
 fixed-step RK4 integrator of the same boundary-value problem is kept as
 an independent numerical oracle for the closed form.
+
+assemble_problem is the one place V and B0 are computed: a run's
+RiccatiProblem designs the gain and is also the linear plant that
+step_linear advances.
 """
 
 from __future__ import annotations
@@ -67,13 +71,9 @@ def phi_closed_form(z: np.ndarray | float, problem: RiccatiProblem) -> np.ndarra
     Phi(L) = 0 exactly (the numerator vanishes bit-exactly at z = L),
     Phi >= 0 on [0, L], and Phi is non-increasing in z.
     """
-    z_arr = np.asarray(z, dtype=float)
     rate = 2.0 * problem.b0_coef * math.sqrt(problem.q0 / problem.r0)
-    e = np.exp(rate * (z_arr - problem.length) / problem.v_coef)
-    phi = math.sqrt(problem.q0 * problem.r0) * (1.0 - e) / (-problem.b0_coef * (e + 1.0))
-    if np.ndim(z) == 0:
-        return float(phi)
-    return phi
+    e = np.exp(rate * (z - problem.length) / problem.v_coef)
+    return math.sqrt(problem.q0 * problem.r0) * (1.0 - e) / (-problem.b0_coef * (e + 1.0))
 
 
 def phi_numeric_oracle(problem: RiccatiProblem, n_steps: int) -> tuple[np.ndarray, np.ndarray]:

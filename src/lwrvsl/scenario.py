@@ -9,12 +9,17 @@ All amplitudes stay inside the free-flow band (0, rho_max / 2).
 run_simulation closes the loop: at every step the current perturbation
 field feeds the LQ control law, the control integrates to a VSL profile,
 and the chosen plant (linear perturbation transport or nonlinear LWR)
-advances one explicit step. The nonlinear plant reuses the linear
-feedback law on its live perturbation rho - rho_0.
+advances one explicit step. The run's RiccatiProblem is the LQ design
+model and, on the linear plant, the plant itself: step_linear reads V and
+B0 from it. The nonlinear plant reuses the linear feedback law on its
+live perturbation rho - rho_0. The plant is chosen once per run: its
+state is rho - base (base = rho_0 on the linear plant, 0 on the
+nonlinear one), and in the loop only the stepper differs.
 
-Scenario validates a run's inputs once, at entry, and q0_members does
-the same for a list of q0 values; stable_dt fixes the step size, and the
-loop passes plain arrays and checks only each step's density bound.
+Scenario validates a run's inputs once, at entry, and derives the grid
+from n_cells; q0_members does the same for a list of q0 values.
+stable_dt fixes the step size, and the loop passes plain arrays and
+checks only each step's density bound.
 """
 
 from __future__ import annotations
@@ -65,11 +70,13 @@ class Scenario:
 
     Amplitude fields keep the boundary-data units they are quoted in
     (cars/km and seconds); conversion to SI happens where the profiles
-    are evaluated.
+    are evaluated. grid is derived: make_grid lays n_cells over the road
+    of params, so the grid always covers the road the Riccati problem is
+    posed on.
     """
 
     params: TrafficParams
-    grid: Grid1D
+    n_cells: int
     q0: float
     bc_decay_rate: float  # 1/s
     bc_growth_rate: float  # cars/km per s
@@ -80,8 +87,10 @@ class Scenario:
     control_enabled: bool
     model: str
     clamp: tuple[float, float]
+    grid: Grid1D = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "grid", make_grid(self.params.road_length, self.n_cells))
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         require_positive("q0", self.q0)
@@ -97,11 +106,6 @@ class Scenario:
             raise ValueError(
                 "clamp bounds must be finite and straddle b_0 with a non-negative b_min: "
                 f"need 0 <= {b_min} < {self.params.b_0} < {b_max} < inf"
-            )
-        if abs(self.grid.length - self.params.road_length) > 1e-9 * self.params.road_length:
-            raise ValueError(
-                f"grid mismatch: grid length {self.grid.length} vs road length "
-                f"{self.params.road_length}"
             )
         self._check_free_flow()
 
@@ -203,7 +207,7 @@ def reference_scenario(
     decay, growth = boundary_ramp(bc_reading, params.road_length, amplitude_scale)
     return Scenario(
         params=params,
-        grid=make_grid(params.road_length, n_cells),
+        n_cells=n_cells,
         q0=q0,
         bc_decay_rate=decay,
         bc_growth_rate=growth,
@@ -224,10 +228,7 @@ def initial_condition(z: np.ndarray | float, scenario: Scenario) -> np.ndarray |
     if np.any(z_arr < 0.0) or np.any(z_arr > p.road_length):
         raise ValueError(f"position outside [0, {p.road_length}]")
     amplitude = scenario.ic_amplitude / M_PER_KM
-    rho = p.rho_0 + amplitude * np.sin(np.pi * z_arr / p.road_length)
-    if np.ndim(z) == 0:
-        return float(rho)
-    return rho
+    return p.rho_0 + amplitude * np.sin(np.pi * z_arr / p.road_length)
 
 
 def upstream_boundary(t: np.ndarray | float, scenario: Scenario) -> np.ndarray | float:
@@ -235,20 +236,15 @@ def upstream_boundary(t: np.ndarray | float, scenario: Scenario) -> np.ndarray |
 
     t is not checked; Scenario bounds the density for t in [0, sim_time].
     """
-    p = scenario.params
-    t_arr = np.asarray(t, dtype=float)
     osc_amp = scenario.bc_osc_amplitude / M_PER_KM
     growth = scenario.bc_growth_rate / M_PER_KM
-    rho = (
-        p.rho_0
+    return (
+        scenario.params.rho_0
         + osc_amp
-        * np.exp(-scenario.bc_decay_rate * t_arr)
-        * np.sin(np.pi * t_arr / scenario.bc_osc_period)
-        + growth * t_arr
+        * np.exp(-scenario.bc_decay_rate * t)
+        * np.sin(np.pi * t / scenario.bc_osc_period)
+        + growth * t
     )
-    if np.ndim(t) == 0:
-        return float(rho)
-    return rho
 
 
 def total_cars(rho: np.ndarray, grid: Grid1D) -> float:
@@ -315,7 +311,9 @@ def run_simulation(
 ) -> SimulationHistory:
     """Advance the chosen plant over [0, T] under quasi-static feedback.
 
-    The feedback gain K0 at the interfaces is computed once. Per step:
+    The run's RiccatiProblem is assembled once: it gives the feedback
+    gain K0 at the interfaces (when control is on) and, on the linear
+    plant, the coefficients V and B0 of the stepper. Per step:
     attach boundary ghosts at the current time, take one explicit step,
     stop with SolverError if the density left [0, rho_max], and recompute
     the control and VSL profile from the new perturbation field (when
@@ -332,14 +330,12 @@ def run_simulation(
     b_cap = scenario.clamp[1] if scenario.control_enabled else p.b_0
     dt_fixed = stable_dt(grid.dz, b_cap * p.u_max, cfl)
     linear = scenario.model == "linear"
-    gain = (
-        feedback_gain(grid.interfaces, assemble_problem(p, scenario.q0, scenario.r0))
-        if scenario.control_enabled
-        else None
-    )
+    problem = assemble_problem(p, scenario.q0, scenario.r0)
+    gain = feedback_gain(grid.interfaces, problem) if scenario.control_enabled else None
+    # the plant's state is rho - base: the perturbation, or the absolute density
+    base = p.rho_0 if linear else 0.0
 
-    ic = initial_condition(grid.cell_centers, scenario)
-    state = ic - p.rho_0 if linear else ic
+    state = initial_condition(grid.cell_centers, scenario) - base
 
     zero_control = np.zeros(grid.n_cells + 1)
     base_profile = np.full(grid.n_cells + 1, p.b_0)
@@ -347,7 +343,7 @@ def run_simulation(
     def controls(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if gain is None:
             return zero_control, base_profile
-        u_opt = control_field(values if linear else values - p.rho_0, gain)
+        u_opt = control_field(values - (p.rho_0 - base), gain)
         return u_opt, integrate_vsl(u_opt, p.b_0, grid, scenario.clamp)
 
     # the frame instants: 0, then min(k * frame_interval, T) until T is reached
@@ -368,23 +364,21 @@ def run_simulation(
         while t < next_frame:  # the step that reaches next_frame sets t to it exactly
             at_frame = t + dt_fixed >= next_frame - 1e-12
             dt = next_frame - t if at_frame else dt_fixed
-            upstream = upstream_boundary(t, scenario)
+            extended = apply_boundary(state, upstream_boundary(t, scenario) - base)
             if linear:
-                extended = apply_boundary(state, upstream - p.rho_0)
-                state, fluxes = step_linear(grid, extended, u_opt, p, dt)
+                state, fluxes = step_linear(grid, extended, u_opt, problem, dt)
             else:
-                extended = apply_boundary(state, upstream)
                 state, fluxes = step_nonlinear(grid, extended, b_profile, p, dt)
             inflow += dt * fluxes[0]
             outflow += dt * fluxes[-1]
             t = next_frame if at_frame else t + dt
-            _check_density(state + p.rho_0 if linear else state, t, scenario)
+            _check_density(state + base, t, scenario)
             # the control of the new state drives the next step and, at a frame, is recorded
             u_opt, b_profile = controls(state)
         density_frames[row] = state
         vsl_frames[row] = b_profile
         control_frames[row] = u_opt
-        totals[row] = total_cars(state + p.rho_0 if linear else state, grid)
+        totals[row] = total_cars(state + base, grid)
     return SimulationHistory(
         times=np.array(times),
         density_frames=density_frames,

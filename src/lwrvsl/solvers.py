@@ -5,7 +5,8 @@ Two explicit first-order schemes share the grid and boundary plumbing:
 - step_linear advects the density perturbation drho around the equilibrium
   (rho_0, b_0): d(drho)/dt = V d(drho)/dz + B0 u, with constant V < 0
   (rightward transport at speed |V|) and the control u = db/dz entering as
-  a source term.
+  a source term. V and B0 are read from the run's RiccatiProblem, so the
+  linear plant is exactly the model the LQ gain is designed on.
 - step_nonlinear updates the conservation law d(rho)/dt + d(q)/dz = 0 with
   the VSL flux q = rho b u_max (1 - rho/rho_max), using the Godunov
   demand-supply interface flux.
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fundamental import characteristic_speed, critical_density, flux
+from .fundamental import critical_density, flux
 from .params import Grid1D, TrafficParams
+from .riccati import RiccatiProblem
 
 
 class SolverError(RuntimeError):
@@ -55,22 +57,20 @@ def step_linear(
     grid: Grid1D,
     extended: np.ndarray,
     u_opt: np.ndarray,
-    params: TrafficParams,
+    problem: RiccatiProblem,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Upwind step of the perturbation transport with the control source.
 
     The update integrates d(drho)/dt = V d(drho)/dz + B0 u with the
-    frozen coefficients V = -b_0 u_max (1 - 2 rho_0/rho_max) and
-    B0 = -rho_0 u_max (1 - rho_0/rho_max). Transport is rightward
-    (V < 0 in free flow), so the upwind flux at each interface takes the
-    left value; the source uses u averaged from interfaces to cells. No
-    conservation statement is made for the perturbation with source.
+    design model's coefficients V = problem.v_coef and
+    B0 = problem.b0_coef. Transport is rightward (V < 0 in free flow), so
+    the upwind flux at each interface takes the left value; the source
+    uses u averaged from interfaces to cells. No conservation statement
+    is made for the perturbation with source.
     """
-    speed = characteristic_speed(params.rho_0, params.b_0, params)
-    b0_coef = -flux(params.rho_0, 1.0, params)
-    fluxes = speed * extended[:-1]
-    source = b0_coef * 0.5 * (u_opt[:-1] + u_opt[1:])
+    fluxes = -problem.v_coef * extended[:-1]
+    source = problem.b0_coef * 0.5 * (u_opt[:-1] + u_opt[1:])
     new_values = (
         extended[1:-1] - (dt / grid.dz) * (fluxes[1:] - fluxes[:-1]) + dt * source
     )

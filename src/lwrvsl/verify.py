@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import characteristic_speed
 from .params import TrafficParams, make_grid
 from .riccati import RiccatiProblem, assemble_problem, phi_closed_form, phi_numeric_oracle
 from .scenario import (
@@ -160,17 +159,17 @@ def linear_convergence_l1_errors(n_cells_list: tuple[int, ...]) -> list[float]:
     at the frozen speed |V|.
     """
     final_time, amplitude = LINEAR_FINAL_TIME, LINEAR_AMPLITUDE
-    params = reference_scenario(sim_time=final_time).params
-    speed = characteristic_speed(params.rho_0, params.b_0, params)
+    problem = default_problem()
+    speed = -problem.v_coef
     errors = []
     for n_cells in n_cells_list:
-        grid = make_grid(params.road_length, n_cells)
+        grid = make_grid(problem.length, n_cells)
         n_steps = math.ceil(final_time / stable_dt(grid.dz, speed, CONVERGENCE_CFL))
         dt = final_time / n_steps
         state = _bump(grid.cell_centers, amplitude)
         zeros = np.zeros(grid.n_cells + 1)
         for _ in range(n_steps):
-            state, _ = step_linear(grid, apply_boundary(state, 0.0), zeros, params, dt)
+            state, _ = step_linear(grid, apply_boundary(state, 0.0), zeros, problem, dt)
         exact = _bump(grid.cell_centers - speed * final_time, amplitude)
         errors.append(float(np.sum(np.abs(state - exact)) * grid.dz))
     return errors
@@ -203,7 +202,7 @@ def nonlinear_convergence_l1_errors() -> list[float]:
     final_time, amplitude = NONLINEAR_FINAL_TIME, NONLINEAR_AMPLITUDE
     params = reference_scenario(sim_time=final_time).params
     # the bump only raises rho, and in free flow a higher rho is a slower wave
-    wave_bound = characteristic_speed(params.rho_0, params.b_0, params)
+    wave_bound = -default_problem().v_coef
     errors = []
     for n_cells in CONVERGENCE_CELLS:
         grid = make_grid(params.road_length, n_cells)

@@ -12,6 +12,7 @@ from lwrvsl import (
     TrafficParams,
     absolute_density,
     apply_boundary,
+    assemble_problem,
     flux,
     godunov_interface_flux,
     make_grid,
@@ -32,6 +33,8 @@ PARAMS = TrafficParams(
 
 RHO_C = 0.08
 FREE_WAVE = 11.979166666666666
+# the linear plant's coefficients V = -FREE_WAVE and B0 = -flux(rho_0, 1)
+PROBLEM = assemble_problem(PARAMS, 5e-5)
 
 densities = st.floats(min_value=0.0, max_value=0.16, allow_nan=False)
 
@@ -82,7 +85,7 @@ class TestStepLinear:
         grid = make_grid(2000.0, 50)
         values = 0.01 * np.exp(-((grid.cell_centers - 600.0) / 150.0) ** 2)
         dt = grid.dz / FREE_WAVE
-        new_values, _ = step_linear(grid, apply_boundary(values, 0.0), np.zeros(51), PARAMS, dt)
+        new_values, _ = step_linear(grid, apply_boundary(values, 0.0), np.zeros(51), PROBLEM, dt)
         expected = np.concatenate(([0.0], values[:-1]))
         assert np.allclose(new_values, expected, rtol=0.0, atol=1e-14)
 
@@ -92,7 +95,7 @@ class TestStepLinear:
         values = 0.005 * np.sin(2.0 * np.pi * grid.cell_centers / 2000.0)
         u = 1e-5 * np.cos(np.pi * grid.interfaces / 2000.0)
         dt = 0.1
-        new_values, fluxes = step_linear(grid, apply_boundary(values, 0.002), u, PARAMS, dt)
+        new_values, fluxes = step_linear(grid, apply_boundary(values, 0.002), u, PROBLEM, dt)
         lhs = np.sum(new_values - values) * grid.dz
         b0_coef = -flux(PARAMS.rho_0, 1.0, PARAMS)
         source = b0_coef * 0.5 * (u[:-1] + u[1:])
@@ -103,7 +106,7 @@ class TestStepLinear:
         grid = make_grid(2000.0, 20)
         u = np.full(21, 0.01)
         dt = 0.2
-        new_values, _ = step_linear(grid, apply_boundary(np.zeros(20), 0.0), u, PARAMS, dt)
+        new_values, _ = step_linear(grid, apply_boundary(np.zeros(20), 0.0), u, PROBLEM, dt)
         expected = dt * (-flux(PARAMS.rho_0, 1.0, PARAMS)) * 0.01
         assert np.allclose(new_values, expected, rtol=1e-14, atol=0.0)
         assert np.all(new_values < 0.0)
@@ -111,7 +114,7 @@ class TestStepLinear:
     def test_reported_fluxes_are_upwind(self):
         grid = make_grid(2000.0, 4)
         values = np.array([0.001, 0.002, 0.003, 0.004])
-        _, fluxes = step_linear(grid, apply_boundary(values, 0.005), np.zeros(5), PARAMS, 0.1)
+        _, fluxes = step_linear(grid, apply_boundary(values, 0.005), np.zeros(5), PROBLEM, 0.1)
         expected = FREE_WAVE * np.concatenate(([0.005], values))
         assert fluxes.shape == (5,)
         assert np.allclose(fluxes, expected, rtol=1e-12, atol=0.0)
