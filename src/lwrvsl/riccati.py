@@ -163,6 +163,6 @@ def integrate_vsl(
     """
     increments = 0.5 * grid.dz * (u_opt[:-1] + u_opt[1:])
     profile = b0 + np.concatenate(([0.0], np.cumsum(increments)))
-    profile = np.clip(profile, *clamp)
+    profile = profile.clip(*clamp)
     profile.setflags(write=False)
     return profile

@@ -7,14 +7,15 @@ rho(t, 0) = rho_0 + A_b exp(-kappa t) sin(pi t / P) + gamma t.
 All amplitudes stay inside the free-flow band (0, rho_max / 2).
 
 run_simulation closes the loop: at every step the current perturbation
-field feeds the LQ control law, the control integrates to a VSL profile,
-and the chosen plant (linear perturbation transport or nonlinear LWR)
-advances one explicit step. The run's RiccatiProblem is the LQ design
-model and, on the linear plant, the plant itself: step_linear reads V and
-B0 from it. The nonlinear plant reuses the linear feedback law on its
-live perturbation rho - rho_0. The plant is chosen once per run: its
-state is rho - base (base = rho_0 on the linear plant, 0 on the
-nonlinear one), and in the loop only the stepper differs.
+field feeds the LQ control law and the chosen plant (linear
+perturbation transport or nonlinear LWR) advances one explicit step.
+The control integrates to a VSL profile after every nonlinear step, and
+only at frame instants on the linear plant, whose stepper reads the
+control alone. The run's RiccatiProblem is the LQ design model and, on
+the linear plant, the plant itself: step_linear reads V and B0 from it.
+The nonlinear plant reuses the linear feedback law on its live
+perturbation rho - rho_0. The plant is chosen once per run: its state is
+rho - base (base = rho_0 on the linear plant, 0 on the nonlinear one).
 
 Scenario validates a run's inputs once, at entry, and derives the grid
 from n_cells; q0_members does the same for a list of q0 values.
@@ -294,9 +295,10 @@ def mass_balance_defect(history: SimulationHistory) -> tuple[float, float]:
     return float(defect), float(abs(defect) / totals[0])
 
 
-def _check_density(absolute: np.ndarray, t: float, scenario: Scenario) -> None:
-    """Raise SolverError unless every absolute density lies in [0, rho_max]; NaN fails."""
-    low, high = absolute.min(), absolute.max()
+def _check_density(state: np.ndarray, base: float, t: float, scenario: Scenario) -> None:
+    """Raise SolverError unless every density state + base lies in [0, rho_max]; NaN fails."""
+    # rounding is monotone, so min(state) + base is the minimum of state + base
+    low, high = state.min() + base, state.max() + base
     if not 0.0 <= low <= high <= scenario.params.rho_max:
         raise SolverError(
             f"density left [0, rho_max] in the {scenario.model} run at t={t}: "
@@ -316,13 +318,14 @@ def run_simulation(
     plant, the coefficients V and B0 of the stepper. Per step:
     attach boundary ghosts at the current time, take one explicit step,
     stop with SolverError if the density left [0, rho_max], and recompute
-    the control and VSL profile from the new perturbation field (when
-    enabled). The step size is stable_dt on the worst-case wave speed
-    b_cap * u_max (b_cap being the clamp ceiling when control is on, else
-    b_0), shortened only to land exactly on frame instants.
-    The frame instants, every frame_interval seconds and at T, are listed
-    first; one row of density, VSL rate, control and total cars is filled
-    at each.
+    the control from the new perturbation field (when enabled); its VSL
+    profile is integrated on every nonlinear step, and on the linear
+    plant, which reads the control alone, only at frame instants. The
+    step size is stable_dt on the worst-case wave speed b_cap * u_max
+    (b_cap being the clamp ceiling when control is on, else b_0),
+    shortened only to land exactly on frame instants. The frame instants,
+    every frame_interval seconds and at T, are listed first; one row of
+    density, VSL rate, control and total cars is filled at each.
     """
     require_positive("frame_interval", frame_interval)
     p = scenario.params
@@ -340,11 +343,11 @@ def run_simulation(
     zero_control = np.zeros(grid.n_cells + 1)
     base_profile = np.full(grid.n_cells + 1, p.b_0)
 
-    def controls(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if gain is None:
-            return zero_control, base_profile
-        u_opt = control_field(values - (p.rho_0 - base), gain)
-        return u_opt, integrate_vsl(u_opt, p.b_0, grid, scenario.clamp)
+    def control(values: np.ndarray) -> np.ndarray:
+        return zero_control if gain is None else control_field(values - (p.rho_0 - base), gain)
+
+    def vsl_profile(u_opt: np.ndarray) -> np.ndarray:
+        return base_profile if gain is None else integrate_vsl(u_opt, p.b_0, grid, scenario.clamp)
 
     # the frame instants: 0, then min(k * frame_interval, T) until T is reached
     times = [0.0]
@@ -358,7 +361,8 @@ def run_simulation(
     inflow = 0.0
     outflow = 0.0
 
-    u_opt, b_profile = controls(state)
+    u_opt = control(state)
+    b_profile = vsl_profile(u_opt)
     t = 0.0
     for row, next_frame in enumerate(times):
         while t < next_frame:  # the step that reaches next_frame sets t to it exactly
@@ -372,9 +376,12 @@ def run_simulation(
             inflow += dt * fluxes[0]
             outflow += dt * fluxes[-1]
             t = next_frame if at_frame else t + dt
-            _check_density(state + base, t, scenario)
-            # the control of the new state drives the next step and, at a frame, is recorded
-            u_opt, b_profile = controls(state)
+            _check_density(state, base, t, scenario)
+            # the control of the new state drives the next step and, at a frame, is
+            # recorded; step_linear reads only u_opt, so its profile is needed at frames only
+            u_opt = control(state)
+            if not linear or at_frame:
+                b_profile = vsl_profile(u_opt)
         density_frames[row] = state
         vsl_frames[row] = b_profile
         control_frames[row] = u_opt

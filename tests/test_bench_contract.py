@@ -68,6 +68,25 @@ def test_cell_updates_count_every_step(bench, model):
 
 
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+def test_vsl_integration_count(bench, model):
+    # the nonlinear stepper reads the VSL profile on every step, the linear one
+    # never: there the profile is integrated for the recorded frames only
+    targets = bench.layer_targets(lwrvsl)
+    traced = ("riccati.integrate_vsl", *bench.STEPPERS)
+    tracer = bench.Tracer(
+        "lwrvsl", {name: targets[name] for name in traced}, bench.LAYER_COUNTERS
+    )
+    # at 16 cells dt is 1.76 s, so each 4 s frame takes three steps
+    scenario = reference_scenario(model=model, n_cells=16, sim_time=8.0)
+    history = tracer.run_op(lambda: run_simulation(scenario, 4.0))
+    layers = tracer.op_layers(0)
+    steps = sum(layers[name][0] for name in bench.STEPPERS)
+    expected = len(history.times) if model == "linear" else steps + 1
+    assert steps == 6
+    assert layers["riccati.integrate_vsl"][0] == expected
+
+
+@pytest.mark.parametrize("model", ["linear", "nonlinear"])
 def test_solo_run_passes_its_own_gate(bench, model):
     # the bench's generated config at seed 1, on a grid small enough for a unit test
     config = bench.config_text(bench.make_inputs(1), model) + (

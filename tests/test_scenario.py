@@ -19,6 +19,7 @@ from lwrvsl import (
     characteristic_speed,
     flux,
     initial_condition,
+    integrate_vsl,
     make_grid,
     reference_scenario,
     run_simulation,
@@ -317,6 +318,29 @@ class TestRunSimulation:
                             monkeypatch.setattr(module, attr, counted)
         run_simulation(reference_scenario(model="linear", n_cells=16, sim_time=4.0))
         assert counts == {"characteristic_speed": 1, "flux": 1}
+
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    def test_each_recorded_profile_integrates_its_own_control(self, model):
+        # the linear plant integrates its profile at frame instants only; every
+        # recorded row must still be the profile of that frame's control. At 16
+        # cells dt is 1.76 s, so each 4 s frame takes three steps
+        scenario = reference_scenario(model=model, n_cells=16, sim_time=8.0, q0=5e-4)
+        history = run_simulation(scenario, frame_interval=4.0)
+        assert len(history.times) == 3
+        assert np.any(history.vsl_frames != scenario.params.b_0)
+        for u_opt, profile in zip(history.control_frames, history.vsl_frames):
+            expected = integrate_vsl(u_opt, scenario.params.b_0, scenario.grid, scenario.clamp)
+            assert profile.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    def test_control_off_records_the_base_profile(self, model):
+        scenario = reference_scenario(
+            model=model, n_cells=16, sim_time=8.0, control_enabled=False
+        )
+        history = run_simulation(scenario, frame_interval=4.0)
+        base = np.full(scenario.grid.n_cells + 1, scenario.params.b_0)
+        for profile in history.vsl_frames:
+            assert profile.tobytes() == base.tobytes()
 
     def test_unstable_gain_aborts_cleanly(self):
         scenario = dataclasses.replace(_tiny(), q0=1000.0)

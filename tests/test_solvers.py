@@ -217,4 +217,4 @@ class TestStepNonlinear:
         assert new_values.min() < 0.0
         scenario = reference_scenario(model="nonlinear")
         with pytest.raises(SolverError, match="left \\[0, rho_max\\] in the nonlinear run"):
-            scenario_module._check_density(new_values, 0.5, scenario)
+            scenario_module._check_density(new_values, 0.0, 0.5, scenario)
