@@ -2,11 +2,13 @@
 
 Each check measures a quantity with an independent method and compares
 it against a fixed bound: the Riccati ODE residual of the closed form,
-closed form versus RK4 backward integration, discrete mass balance of
-the nonlinear solver, first-order L1 convergence of both solvers on a
-smooth transported bump, and the second-order shrinkage of the gap
-between the linear and nonlinear models as perturbation amplitudes are
-halved.
+closed form versus RK4 backward integration (ORACLE_STEPS = 10,000
+steps), the composed feedback law (feedback_gain, then control_field)
+versus its explicit expression (control_field_explicit), discrete mass
+balance of the nonlinear solver, first-order L1 convergence of both
+solvers on a smooth transported bump, and the second-order shrinkage of
+the gap between the linear and nonlinear models as perturbation
+amplitudes are halved.
 """
 
 from __future__ import annotations
@@ -17,11 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import TrafficParams, make_grid
-from .riccati import RiccatiProblem, assemble_problem, phi_closed_form, phi_numeric_oracle
+from .riccati import (
+    RiccatiProblem,
+    assemble_problem,
+    control_field,
+    control_field_explicit,
+    feedback_gain,
+    phi_closed_form,
+    phi_numeric_oracle,
+)
 from .scenario import (
     REFERENCE_Q0,
     REFERENCE_Q0_VALUES,
     absolute_density,
+    initial_condition,
     mass_balance_defect,
     q0_label,
     reference_scenario,
@@ -31,6 +42,13 @@ from .solvers import apply_boundary, stable_dt, step_linear, step_nonlinear
 
 RESIDUAL_BOUND = 1e-8
 ORACLE_BOUND = 1e-8
+# RK4 steps of the oracle. Its worst gap to the closed form (sup norm over
+# max Phi, reference q0, r0 = 1) is 6.5e-15 at 5k steps, 3.6e-15 at 10k,
+# 5.1e-15 at 20k and 2.6e-14 at 100k: past 10k, round-off outgrows the
+# truncation error, so more steps cost time and buy no accuracy.
+ORACLE_STEPS = 10_000
+FEEDBACK_PATHS_BOUND = 1e-12
+FEEDBACK_PATHS_R0 = (0.25, 1.0, 4.0)
 CONSERVATION_BOUND = 1e-9
 CONVERGENCE_RANGE = (1.7, 2.3)
 LINEARIZATION_RANGE = (3.0, 5.0)
@@ -109,7 +127,7 @@ def check_oracle_equivalence() -> CheckResult:
     details = []
     for q0 in REFERENCE_Q0_VALUES:
         problem = assemble_problem(params, q0)
-        z, phi_oracle = phi_numeric_oracle(problem, 100_000)
+        z, phi_oracle = phi_numeric_oracle(problem, ORACLE_STEPS)
         phi = phi_closed_form(z, problem)
         error = float(np.max(np.abs(phi - phi_oracle)) / np.max(phi))
         details.append(f"q0={q0_label(q0)}: {error:.3e}")
@@ -119,6 +137,35 @@ def check_oracle_equivalence() -> CheckResult:
         passed=worst < ORACLE_BOUND,
         measured=worst,
         bound=f"< {ORACLE_BOUND:g}",
+        detail="; ".join(details),
+    )
+
+
+def check_feedback_paths() -> CheckResult:
+    """Composed feedback law vs its explicit expression, sup-norm relative.
+
+    Both act on the reference initial perturbation on the reference grid,
+    for each reference q0 and each r0 in FEEDBACK_PATHS_R0.
+    """
+    scenario = reference_scenario()
+    grid = scenario.grid
+    delta = initial_condition(grid.cell_centers, scenario) - scenario.params.rho_0
+    worst = 0.0
+    details = []
+    for r0 in FEEDBACK_PATHS_R0:
+        gaps = []
+        for q0 in REFERENCE_Q0_VALUES:
+            problem = assemble_problem(scenario.params, q0, r0)
+            composed = control_field(delta, feedback_gain(grid.interfaces, problem))
+            explicit = control_field_explicit(delta, problem, grid)
+            gaps.append(float(np.max(np.abs(composed - explicit)) / np.max(np.abs(composed))))
+        details.append(f"r0={r0:g}: {max(gaps):.3e}")
+        worst = max(worst, *gaps)
+    return CheckResult(
+        name="feedback-paths",
+        passed=worst <= FEEDBACK_PATHS_BOUND,
+        measured=worst,
+        bound=f"<= {FEEDBACK_PATHS_BOUND:g} (relative)",
         detail="; ".join(details),
     )
 
@@ -281,6 +328,7 @@ def run_all_checks() -> list[CheckResult]:
         check_phi_boundary(),
         check_riccati_residual(),
         check_oracle_equivalence(),
+        check_feedback_paths(),
         check_conservation(),
         check_convergence_linear(),
         check_convergence_nonlinear(),

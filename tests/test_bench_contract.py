@@ -5,10 +5,12 @@ cell updates from the grid passed first to each stepper, and gates each
 solo run on data it reads from the package: RunConfig.cfl and
 output_cadence, run_simulation(scenario, cadence, cfl) called with
 positional arguments, and the SimulationHistory field names. It counts
-the bytes of each writer from the path passed first to it. A refactor
-that breaks any of these makes every benchmark operation fail, so this
-module loads run.py (without writing anything next to it) and checks
-them against small closed-loop runs.
+the bytes of each writer from the path passed first to it, and gates
+its verify workload on the exit code and the PASS/FAIL lines of an
+in-process `lwrvsl verify`. A refactor that breaks any of these makes
+every benchmark operation fail, so this module loads run.py (without
+writing anything next to it) and checks them against small closed-loop
+runs and one verify.
 """
 
 import importlib.util
@@ -98,6 +100,13 @@ def test_solo_run_passes_its_own_gate(bench, model):
     assert set(digests) == {
         "total_cars_series", "density_frames", "vsl_frames", "control_frames"
     }
+
+
+def test_verify_passes_the_bench_gate(bench):
+    suite = bench.VerifySuite(lwrvsl)
+    digests, problems = suite.check(suite.run())
+    assert problems == []
+    assert set(digests) == {"verify_stdout"}
 
 
 def test_writer_byte_counters_match_the_files(bench, tmp_path):

@@ -280,6 +280,14 @@ class TestVerify:
     def test_all_checks_pass(self, capsys):
         assert main(["verify"]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines() if line]
-        assert len(lines) == 8
-        assert all(line.startswith("PASS ") for line in lines)
-        assert any("riccati" in line for line in lines)
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS riccati-boundary",
+            "PASS riccati-residual",
+            "PASS riccati-oracle",
+            "PASS feedback-paths",
+            "PASS conservation",
+            "PASS convergence-linear",
+            "PASS convergence-nonlinear",
+            "PASS convergence-coarse",
+            "PASS linearization",
+        ]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lwrvsl import (
+    REFERENCE_Q0_VALUES,
     RiccatiProblem,
     TrafficParams,
     assemble_problem,
@@ -17,6 +18,7 @@ from lwrvsl import (
     phi_closed_form,
     phi_numeric_oracle,
 )
+from lwrvsl import verify
 from lwrvsl.riccati import DEFAULT_B_CLAMP
 from lwrvsl.verify import ORACLE_BOUND
 
@@ -45,8 +47,34 @@ GAIN_AT_ZERO = {
 }
 
 
+# the weights at which the oracle is checked: verify's four q0 at three r0
+R0_VALUES = (0.25, 1.0, 4.0)
+WEIGHTS = [(r0, q0) for r0 in R0_VALUES for q0 in REFERENCE_Q0_VALUES]
+
+
 def _problem(q0=5e-5, r0=1.0):
     return assemble_problem(PARAMS, q0, r0)
+
+
+def _reference_rk4(problem, n_steps):
+    """The oracle's loop as first written: per-step step fractions, array filled in place."""
+    gain_sq = problem.b0_coef**2 / problem.r0
+    q0, v = problem.q0, problem.v_coef
+    h = problem.length / n_steps
+    phi = np.empty(n_steps + 1)
+    phi[n_steps] = 0.0
+    p = 0.0
+    for i in range(n_steps, 0, -1):
+        k1 = (q0 - gain_sq * p * p) / v
+        a = p - 0.5 * h * k1
+        k2 = (q0 - gain_sq * a * a) / v
+        a = p - 0.5 * h * k2
+        k3 = (q0 - gain_sq * a * a) / v
+        a = p - h * k3
+        k4 = (q0 - gain_sq * a * a) / v
+        p = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phi[i - 1] = p
+    return np.linspace(0.0, problem.length, n_steps + 1), phi
 
 
 class TestAssembleProblem:
@@ -150,6 +178,45 @@ class TestNumericOracle:
     def test_rejects_coarse_grids(self):
         with pytest.raises(ValueError):
             phi_numeric_oracle(_problem(), 99)
+
+    @pytest.mark.parametrize("r0, q0", WEIGHTS)
+    def test_equals_the_reference_loop_bitwise(self, r0, q0):
+        problem = _problem(q0, r0)
+        z, phi = phi_numeric_oracle(problem, 2000)
+        z_ref, phi_ref = _reference_rk4(problem, 2000)
+        assert z.tobytes() == z_ref.tobytes()
+        assert phi.tobytes() == phi_ref.tobytes()
+
+    @pytest.mark.parametrize("r0, q0", WEIGHTS)
+    def test_verify_step_count_is_accurate(self, r0, q0):
+        # far inside ORACLE_BOUND: the step count is chosen for accuracy, not
+        # merely to pass the check (measured worst 2.7e-14, at r0 = 0.25)
+        problem = _problem(q0, r0)
+        z, phi = phi_numeric_oracle(problem, verify.ORACLE_STEPS)
+        closed = phi_closed_form(z, problem)
+        assert np.max(np.abs(closed - phi)) / np.max(closed) <= 1e-13
+
+
+class TestVerifyChecks:
+    def test_oracle_check_catches_a_scaled_closed_form(self, monkeypatch):
+        closed_form = verify.phi_closed_form
+        monkeypatch.setattr(
+            verify, "phi_closed_form", lambda z, problem: closed_form(z, problem) * (1.0 + 2e-8)
+        )
+        result = verify.check_oracle_equivalence()
+        assert not result.passed
+        assert result.measured == pytest.approx(2e-8, rel=1e-3)
+
+    def test_feedback_paths_catch_an_explicit_path_off_by_1e_9(self, monkeypatch):
+        explicit = verify.control_field_explicit
+        monkeypatch.setattr(
+            verify,
+            "control_field_explicit",
+            lambda delta, problem, grid: explicit(delta, problem, grid) * (1.0 + 1e-9),
+        )
+        result = verify.check_feedback_paths()
+        assert not result.passed
+        assert result.measured == pytest.approx(1e-9, rel=1e-3)
 
 
 class TestFeedbackGain:
