@@ -22,7 +22,8 @@ an independent numerical oracle for the closed form.
 
 assemble_problem is the one place V and B0 are computed: a run's
 RiccatiProblem designs the gain and is also the linear plant that
-step_linear advances.
+step_linear advances. control_field and integrate_vsl, which run on
+every closed-loop step, fill new arrays in place and concatenate nothing.
 """
 
 from __future__ import annotations
@@ -113,9 +114,11 @@ def feedback_gain(z: np.ndarray | float, problem: RiccatiProblem) -> np.ndarray 
 
 def _interface_state(values: np.ndarray) -> np.ndarray:
     # interior interfaces average the adjacent cells; boundary interfaces are one-sided
-    return np.concatenate(
-        ([values[0]], 0.5 * (values[:-1] + values[1:]), [values[-1]])
-    )
+    state = np.empty(values.size + 1)
+    state[0], state[-1] = values[0], values[-1]
+    interior = np.add(values[:-1], values[1:], out=state[1:-1])
+    interior *= 0.5
+    return state
 
 
 def control_field(delta_rho: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -162,7 +165,9 @@ def integrate_vsl(
     profile is read-only.
     """
     increments = 0.5 * grid.dz * (u_opt[:-1] + u_opt[1:])
-    profile = b0 + np.concatenate(([0.0], np.cumsum(increments)))
-    profile = profile.clip(*clamp)
+    profile = np.zeros(u_opt.size)
+    np.add.accumulate(increments, out=profile[1:])
+    profile += b0
+    profile.clip(*clamp, out=profile)
     profile.setflags(write=False)
     return profile

@@ -19,8 +19,9 @@ rho - base (base = rho_0 on the linear plant, 0 on the nonlinear one).
 
 Scenario validates a run's inputs once, at entry, and derives the grid
 from n_cells; q0_members does the same for a list of q0 values.
-stable_dt fixes the step size, and the loop passes plain arrays and
-checks only each step's density bound.
+stable_dt fixes the step size. The loop checks only each step's density
+bound and refills one ghost-extended buffer per run before each step:
+the upstream ghost, the state and the zero-gradient ghost.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .params import (
 from .riccati import (
     DEFAULT_B_CLAMP, assemble_problem, control_field, feedback_gain, integrate_vsl,
 )
-from .solvers import SolverError, apply_boundary, stable_dt, step_linear, step_nonlinear
+from .solvers import SolverError, stable_dt, step_linear, step_nonlinear
 
 MODELS = ("linear", "nonlinear")
 
@@ -298,7 +299,7 @@ def mass_balance_defect(history: SimulationHistory) -> tuple[float, float]:
 def _check_density(state: np.ndarray, base: float, t: float, scenario: Scenario) -> None:
     """Raise SolverError unless every density state + base lies in [0, rho_max]; NaN fails."""
     # rounding is monotone, so min(state) + base is the minimum of state + base
-    low, high = state.min() + base, state.max() + base
+    low, high = np.minimum.reduce(state) + base, np.maximum.reduce(state) + base
     if not 0.0 <= low <= high <= scenario.params.rho_max:
         raise SolverError(
             f"density left [0, rho_max] in the {scenario.model} run at t={t}: "
@@ -315,8 +316,8 @@ def run_simulation(
 
     The run's RiccatiProblem is assembled once: it gives the feedback
     gain K0 at the interfaces (when control is on) and, on the linear
-    plant, the coefficients V and B0 of the stepper. Per step:
-    attach boundary ghosts at the current time, take one explicit step,
+    plant, the coefficients V and B0 of the stepper. Per step: refill
+    the run's ghost buffer at the current time, take one explicit step,
     stop with SolverError if the density left [0, rho_max], and recompute
     the control from the new perturbation field (when enabled); its VSL
     profile is integrated on every nonlinear step, and on the linear
@@ -360,6 +361,7 @@ def run_simulation(
     totals = np.empty(n_frames)
     inflow = 0.0
     outflow = 0.0
+    extended = np.empty(grid.n_cells + 2)
 
     u_opt = control(state)
     b_profile = vsl_profile(u_opt)
@@ -368,13 +370,15 @@ def run_simulation(
         while t < next_frame:  # the step that reaches next_frame sets t to it exactly
             at_frame = t + dt_fixed >= next_frame - 1e-12
             dt = next_frame - t if at_frame else dt_fixed
-            extended = apply_boundary(state, upstream_boundary(t, scenario) - base)
+            extended[0] = upstream_boundary(t, scenario) - base
+            extended[1:-1] = state
+            extended[-1] = state[-1]
             if linear:
                 state, fluxes = step_linear(grid, extended, u_opt, problem, dt)
             else:
                 state, fluxes = step_nonlinear(grid, extended, b_profile, p, dt)
-            inflow += dt * fluxes[0]
-            outflow += dt * fluxes[-1]
+            inflow += dt * float(fluxes[0])
+            outflow += dt * float(fluxes[-1])
             t = next_frame if at_frame else t + dt
             _check_density(state, base, t, scenario)
             # the control of the new state drives the next step and, at a frame, is

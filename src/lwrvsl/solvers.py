@@ -12,10 +12,12 @@ Two explicit first-order schemes share the grid and boundary plumbing:
   demand-supply interface flux.
 
 States are plain 1-D arrays: drho for the linear plant, rho for the
-nonlinear one. apply_boundary adds one ghost cell at each end, in the same
-kind: Dirichlet upstream (valid while characteristics enter from the left,
-guaranteed in free flow) and zero-gradient downstream. Each stepper takes
-the grid and that extended array and returns (new_values, interface_fluxes).
+nonlinear one. A stepper takes the state with one ghost cell at each end,
+in the same kind: Dirichlet upstream (valid while characteristics enter
+from the left, guaranteed in free flow) and zero-gradient downstream;
+run_simulation refills one such buffer per run, apply_boundary builds one
+for direct callers. Each stepper takes the grid and that extended array,
+leaves it unchanged, and returns (new_values, interface_fluxes).
 The steppers do arithmetic only and raise nothing: a caller owns the CFL
 condition by taking dt from stable_dt, and run_simulation checks the
 density bound after every step.
@@ -86,12 +88,13 @@ def godunov_interface_flux(
     """Godunov flux for the concave VSL flux: min(demand, supply).
 
     demand is the flux the left state can send (capped at the critical
-    density), supply the flux the right state can absorb.
+    density), supply the flux the right state can absorb; one flux call
+    takes both, stacked, and b_interface broadcasts over them.
     """
     rho_c = critical_density(params)
-    demand = flux(np.minimum(rho_left, rho_c), b_interface, params)
-    supply = flux(np.maximum(rho_right, rho_c), b_interface, params)
-    return np.minimum(demand, supply)
+    capped = np.array((np.minimum(rho_left, rho_c), np.maximum(rho_right, rho_c)))
+    q = flux(capped, b_interface, params)
+    return np.minimum(q[0], q[1])
 
 
 def step_nonlinear(

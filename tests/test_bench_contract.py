@@ -89,6 +89,31 @@ def test_vsl_integration_count(bench, model):
 
 
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+def test_closed_loop_call_counts(bench, model):
+    # per nonlinear step one flux evaluation (the stacked demand and supply
+    # states), plus one in assemble_problem; the driver refills its own ghost
+    # buffer, so apply_boundary is left to direct callers
+    targets = bench.layer_targets(lwrvsl)
+    traced = ("fundamental.flux", "solvers.apply_boundary", "riccati.integrate_vsl",
+              *bench.STEPPERS)
+    tracer = bench.Tracer(
+        "lwrvsl", {name: targets[name] for name in traced}, bench.LAYER_COUNTERS
+    )
+    scenario = reference_scenario(model=model, n_cells=16, sim_time=8.0)
+    history = tracer.run_op(lambda: run_simulation(scenario, 4.0))
+    layers = tracer.op_layers(0)
+    calls = {name: layers[name][0] for name in traced}
+    nonlinear_steps = calls["solvers.step_nonlinear"]
+    assert calls["solvers.step_linear"] + nonlinear_steps == 6
+    assert nonlinear_steps == (6 if model == "nonlinear" else 0)
+    assert calls["fundamental.flux"] == nonlinear_steps + 1
+    assert calls["solvers.apply_boundary"] == 0
+    assert calls["riccati.integrate_vsl"] == (
+        len(history.times) if model == "linear" else nonlinear_steps + 1
+    )
+
+
+@pytest.mark.parametrize("model", ["linear", "nonlinear"])
 def test_solo_run_passes_its_own_gate(bench, model):
     # the bench's generated config at seed 1, on a grid small enough for a unit test
     config = bench.config_text(bench.make_inputs(1), model) + (

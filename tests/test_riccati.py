@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lwrvsl import (
     REFERENCE_Q0_VALUES,
@@ -18,7 +20,7 @@ from lwrvsl import (
     phi_closed_form,
     phi_numeric_oracle,
 )
-from lwrvsl import verify
+from lwrvsl import riccati, verify
 from lwrvsl.riccati import DEFAULT_B_CLAMP
 from lwrvsl.verify import ORACLE_BOUND
 
@@ -251,6 +253,39 @@ def _gain(grid, problem):
     return feedback_gain(grid.interfaces, problem)
 
 
+def _reference_interface_state(values):
+    """The interface state as first written: one concatenate of both ends and the averages."""
+    return np.concatenate(([values[0]], 0.5 * (values[:-1] + values[1:]), [values[-1]]))
+
+
+def _reference_integrate_vsl(u_opt, b0, grid, clamp=DEFAULT_B_CLAMP):
+    """The VSL integral as first written: cumsum, a concatenate and a clip."""
+    increments = 0.5 * grid.dz * (u_opt[:-1] + u_opt[1:])
+    profile = b0 + np.concatenate(([0.0], np.cumsum(increments)))
+    return profile.clip(*clamp)
+
+
+@st.composite
+def _rows(draw, values, size):
+    """An array of the given size whose entries are drawn values, placed at random."""
+    knots = np.array(draw(st.lists(values, min_size=1, max_size=24)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return knots[rng.integers(knots.size, size=size)]
+
+
+cell_counts = st.integers(min_value=2, max_value=800)
+# perturbations rho - rho_0 of densities in [0, rho_max], rho_c - rho_0 among them
+perturbations = st.one_of(
+    st.sampled_from([-0.05, 0.0, 0.03, 0.11]), st.floats(min_value=-0.05, max_value=0.11)
+)
+# db/dz at three magnitudes; on a 2 km road the largest binds the clamp on either side
+controls = st.builds(
+    lambda scale, x: scale * x,
+    st.sampled_from([1e-6, 1e-4, 1e-2]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
 class TestControlField:
     def test_two_code_paths_agree(self):
         grid = make_grid(2000.0, 64)
@@ -280,6 +315,15 @@ class TestControlField:
         u = control_field(values, gain)
         state = np.array([1.0, 1.5, 3.0, 6.0, 8.0])
         assert np.allclose(u, gain * state, rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(n_cells=cell_counts, data=st.data())
+    def test_interface_state_equals_the_concatenate_form_bitwise(self, n_cells, data):
+        values = data.draw(_rows(perturbations, n_cells))
+        gain = data.draw(_rows(st.floats(min_value=0.0, max_value=0.03), n_cells + 1))
+        expected = _reference_interface_state(values)
+        assert riccati._interface_state(values).tobytes() == expected.tobytes()
+        assert control_field(values, gain).tobytes() == (gain * expected).tobytes()
 
     def test_zero_state_gives_zero_control(self):
         grid = make_grid(2000.0, 16)
@@ -327,6 +371,29 @@ class TestIntegrateVsl:
         u = control_field(field, _gain(grid, problem))
         profile = integrate_vsl(u, 1.0, grid)
         assert np.max(profile) > 1.0
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        n_cells=cell_counts,
+        b0=st.floats(min_value=0.1, max_value=2.0, exclude_min=True, exclude_max=True),
+        data=st.data(),
+    )
+    def test_equals_the_cumsum_form_bitwise(self, n_cells, b0, data):
+        grid = make_grid(2000.0, n_cells)
+        u_opt = data.draw(_rows(controls, n_cells + 1))
+        profile = integrate_vsl(u_opt, b0, grid)
+        assert profile.tobytes() == _reference_integrate_vsl(u_opt, b0, grid).tobytes()
+        assert not profile.flags.writeable
+
+    def test_equals_the_cumsum_form_where_the_clamp_binds_on_both_sides(self):
+        # the clamp acts on the whole integral: a rise past b = 5 over the first
+        # 500 m, then a fall below b = -9 at the outlet
+        grid = make_grid(2000.0, 64)
+        u_opt = np.where(grid.interfaces < 500.0, 1e-2, -1e-2)
+        profile = integrate_vsl(u_opt, 1.0, grid)
+        assert profile.max() == DEFAULT_B_CLAMP[1]
+        assert profile.min() == DEFAULT_B_CLAMP[0]
+        assert profile.tobytes() == _reference_integrate_vsl(u_opt, 1.0, grid).tobytes()
 
     def test_control_field_record_is_read_only(self):
         grid = make_grid(2000.0, 8)

@@ -16,7 +16,11 @@ from lwrvsl import (
     SimulationHistory,
     SolverError,
     absolute_density,
+    apply_boundary,
+    assemble_problem,
     characteristic_speed,
+    control_field,
+    feedback_gain,
     flux,
     initial_condition,
     integrate_vsl,
@@ -31,7 +35,8 @@ from lwrvsl import (
     total_cars,
     upstream_boundary,
 )
-from lwrvsl.scenario import mass_balance_defect
+from lwrvsl.scenario import REFERENCE_CADENCE, REFERENCE_CFL, mass_balance_defect
+from lwrvsl.solvers import stable_dt
 
 
 def _tiny(model="linear", **overrides):
@@ -216,7 +221,112 @@ class TestTimeToTarget:
             _history([0.0, 1.0], [100.0])
 
 
+def _reference_run(scenario, frame_interval, cfl=REFERENCE_CFL):
+    """The closed loop as first written: a ghost-extended copy from apply_boundary per step.
+
+    Returns the frame matrices and totals, the boundary car counts, and the
+    ghost-extended state of every step.
+    """
+    p, grid = scenario.params, scenario.grid
+    linear = scenario.model == "linear"
+    b_cap = scenario.clamp[1] if scenario.control_enabled else p.b_0
+    dt_fixed = stable_dt(grid.dz, b_cap * p.u_max, cfl)
+    problem = assemble_problem(p, scenario.q0, scenario.r0)
+    gain = feedback_gain(grid.interfaces, problem)
+    base = p.rho_0 if linear else 0.0
+
+    def control(values):
+        if not scenario.control_enabled:
+            return np.zeros(grid.n_cells + 1)
+        return control_field(values - (p.rho_0 - base), gain)
+
+    def vsl_profile(u_opt):
+        if not scenario.control_enabled:
+            return np.full(grid.n_cells + 1, p.b_0)
+        return integrate_vsl(u_opt, p.b_0, grid, scenario.clamp)
+
+    times = [0.0]
+    while times[-1] < p.sim_time - 1e-9:
+        times.append(min(len(times) * frame_interval, p.sim_time))
+    rows = {"density": [], "vsl": [], "control": [], "totals": []}
+    inflow = outflow = 0.0
+    extended_states = []
+    state = initial_condition(grid.cell_centers, scenario) - base
+    u_opt = control(state)
+    b_profile = vsl_profile(u_opt)
+    t = 0.0
+    for next_frame in times:
+        while t < next_frame:
+            at_frame = t + dt_fixed >= next_frame - 1e-12
+            dt = next_frame - t if at_frame else dt_fixed
+            extended = apply_boundary(state, upstream_boundary(t, scenario) - base)
+            extended_states.append(extended)
+            if linear:
+                state, fluxes = step_linear(grid, extended, u_opt, problem, dt)
+            else:
+                state, fluxes = step_nonlinear(grid, extended, b_profile, p, dt)
+            inflow += dt * fluxes[0]
+            outflow += dt * fluxes[-1]
+            t = next_frame if at_frame else t + dt
+            u_opt = control(state)
+            b_profile = vsl_profile(u_opt)
+        rows["density"].append(state)
+        rows["vsl"].append(b_profile)
+        rows["control"].append(u_opt)
+        rows["totals"].append(total_cars(state + base, grid))
+    rows = {name: np.array(values) for name, values in rows.items()}
+    return rows, inflow, outflow, extended_states
+
+
 class TestRunSimulation:
+    @pytest.mark.parametrize("control_enabled", [True, False])
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            # at 16 cells dt is 1.76 s with control on (three steps per 4 s
+            # frame, the last one cut) and 3.52 s with it off (two steps)
+            (dict(n_cells=16, sim_time=8.0, q0=5e-4), 4.0),
+            ({}, REFERENCE_CADENCE),
+        ],
+        ids=["16-cells", "reference"],
+    )
+    def test_equals_the_reference_loop_bitwise(
+        self, setup, model, control_enabled, monkeypatch
+    ):
+        # the driver refills one ghost buffer per run. In free flow neither
+        # stepper's output reads the downstream ghost, so the buffer each step
+        # is given is compared too: a ghost written before the interior copy
+        # would repeat the cell of the step before
+        overrides, frame_interval = setup
+        scenario = reference_scenario(model=model, control_enabled=control_enabled, **overrides)
+        buffers = []
+        for name, stepper in (("step_linear", step_linear), ("step_nonlinear", step_nonlinear)):
+
+            def recorded(grid, extended, *args, _stepper=stepper):
+                buffers.append(extended.copy())
+                return _stepper(grid, extended, *args)
+
+            monkeypatch.setattr(scenario_module, name, recorded)
+        history = run_simulation(scenario, frame_interval)
+        rows, inflow, outflow, extended_states = _reference_run(scenario, frame_interval)
+        assert len(buffers) == len(extended_states)
+        for ours, theirs in zip(buffers, extended_states):
+            assert ours.tobytes() == theirs.tobytes()
+        assert history.density_frames.tobytes() == rows["density"].tobytes()
+        assert history.vsl_frames.tobytes() == rows["vsl"].tobytes()
+        assert history.control_frames.tobytes() == rows["control"].tobytes()
+        assert history.total_cars_series.tobytes() == rows["totals"].tobytes()
+        assert history.inflow_cars.hex() == float(inflow).hex()
+        assert history.outflow_cars.hex() == float(outflow).hex()
+
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    def test_boundary_car_counts_are_plain_floats(self, model):
+        history = run_simulation(_tiny(model=model), frame_interval=2.0)
+        assert type(history.inflow_cars) is float
+        assert type(history.outflow_cars) is float
+        assert "np.float64" not in repr(history)
+
     def test_frame_cadence_and_shapes(self):
         scenario = _tiny()
         history = run_simulation(scenario, frame_interval=1.0)

@@ -37,6 +37,25 @@ FREE_WAVE = 11.979166666666666
 PROBLEM = assemble_problem(PARAMS, 5e-5)
 
 densities = st.floats(min_value=0.0, max_value=0.16, allow_nan=False)
+# the critical density exactly, free-flow and congested cells, and the two ends
+pinned_densities = st.one_of(st.sampled_from([0.0, RHO_C, 0.16]), densities)
+# speed-limit rates inside the default clamp [0.1, 2.0]
+rates = st.floats(min_value=0.1, max_value=2.0)
+
+
+@st.composite
+def _rows(draw, values, size):
+    """An array of the given size whose entries are drawn values, placed at random."""
+    knots = np.array(draw(st.lists(values, min_size=1, max_size=24)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return knots[rng.integers(knots.size, size=size)]
+
+
+def _reference_godunov_flux(rho_left, rho_right, b_interface, params):
+    """The interface flux as first written: two flux calls, min(demand, supply)."""
+    demand = flux(np.minimum(rho_left, RHO_C), b_interface, params)
+    supply = flux(np.maximum(rho_right, RHO_C), b_interface, params)
+    return np.minimum(demand, supply)
 
 
 def _frames_history(frames, scenario):
@@ -175,6 +194,30 @@ class TestGodunovFlux:
         )
         assert raised_left >= base
         assert raised_right <= base
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(n_cells=st.integers(min_value=2, max_value=800), data=st.data())
+    def test_equals_the_two_call_form_bitwise(self, n_cells, data):
+        # the stacked form evaluates flux once on (demand, supply) states;
+        # every element must take the same IEEE operations as the two-call form
+        values = data.draw(_rows(pinned_densities, n_cells + 2))
+        b = data.draw(_rows(rates, n_cells + 1))
+        out = godunov_interface_flux(values[:-1], values[1:], b, PARAMS)
+        expected = _reference_godunov_flux(values[:-1], values[1:], b, PARAMS)
+        assert out.shape == expected.shape == (values.size - 1,)
+        assert out.tobytes() == expected.tobytes()
+        scalar_b = data.draw(rates)
+        out = godunov_interface_flux(values[:-1], values[1:], scalar_b, PARAMS)
+        expected = _reference_godunov_flux(values[:-1], values[1:], scalar_b, PARAMS)
+        assert out.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, derandomize=True)
+    @given(rho_left=pinned_densities, rho_right=pinned_densities, b=rates)
+    def test_scalar_inputs_give_the_two_call_scalar(self, rho_left, rho_right, b):
+        out = godunov_interface_flux(rho_left, rho_right, b, PARAMS)
+        expected = _reference_godunov_flux(rho_left, rho_right, b, PARAMS)
+        assert np.ndim(out) == 0
+        assert np.float64(out).tobytes() == np.float64(expected).tobytes()
 
 
 class TestStepNonlinear:
