@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import FORMATS, ConfigError, RunConfig, parse_config
 from .output import write_riccati_artifacts, write_run_artifacts, write_sweep_artifacts
-from .scenario import REFERENCE_Q0_VALUES, q0_label, run_simulation, sweep_q0
+from .scenario import MODELS, REFERENCE_Q0_VALUES, q0_label, run_simulation, sweep_q0
 from .solvers import SolverError
 from .verify import run_all_checks
 
@@ -39,9 +39,7 @@ def build_parser() -> _Parser:
     common.add_argument(
         "--formats", help="comma-separated subset of csv,json,svg (overrides config)"
     )
-    common.add_argument(
-        "--model", choices=("linear", "nonlinear"), help="plant model (overrides config)"
-    )
+    common.add_argument("--model", choices=MODELS, help="plant model (overrides config)")
     common.add_argument(
         "--control", choices=("on", "off"), help="feedback on or off (overrides config)"
     )

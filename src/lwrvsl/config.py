@@ -61,7 +61,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "ic_amplitude_per_km": REFERENCE_IC_AMPLITUDE,
         "bc_osc_amplitude_per_km": REFERENCE_BC_OSC_AMPLITUDE,
         "bc_osc_period_s": REFERENCE_BC_OSC_PERIOD,
-        "bc_reading": "km",
         "bc_decay_rate_per_s": None,
         "bc_growth_rate_per_km_s": None,
     },
@@ -126,9 +125,9 @@ def parse_config(text: str) -> RunConfig:
     """Parse a YAML document into a RunConfig, applying defaults.
 
     Keys and value types are checked here. Each value's range is checked
-    once, by what it is passed to (TrafficParams, boundary_ramp, Scenario
-    and the make_grid it calls, RunConfig), and their ValueError is raised
-    as ConfigError.
+    once, by what it is passed to (TrafficParams, Scenario and the
+    make_grid it calls, RunConfig), and their ValueError is raised as
+    ConfigError. The ramp rates left unset default to boundary_ramp's.
     """
     try:
         document = yaml.safe_load(text)
@@ -164,7 +163,7 @@ def _run_config(merged: dict[str, dict]) -> RunConfig:
     num = merged["numerics"]
 
     scn = merged["scenario"]
-    bc_decay_rate, bc_growth_rate = boundary_ramp(scn["bc_reading"], params.road_length)
+    bc_decay_rate, bc_growth_rate = boundary_ramp(params.road_length)
     if scn["bc_decay_rate_per_s"] is not None:
         bc_decay_rate = _number("scenario", "bc_decay_rate_per_s", scn["bc_decay_rate_per_s"])
     if scn["bc_growth_rate_per_km_s"] is not None:

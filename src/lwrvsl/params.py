@@ -74,10 +74,6 @@ class Grid1D:
         self.cell_centers.setflags(write=False)
         self.interfaces.setflags(write=False)
 
-    @property
-    def length(self) -> float:
-        return float(self.interfaces[-1])
-
 
 def params_from_paper_units(
     rho_max_per_km: float,

@@ -20,8 +20,8 @@ rho - base (base = rho_0 on the linear plant, 0 on the nonlinear one).
 Scenario validates a run's inputs once, at entry, and derives the grid
 from n_cells; q0_members does the same for a list of q0 values.
 stable_dt fixes the step size. The loop checks only each step's density
-bound and refills one ghost-extended buffer per run before each step:
-the upstream ghost, the state and the zero-gradient ghost.
+bound and, before each step, has apply_boundary refill the run's one
+ghost-extended buffer.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .params import (
 from .riccati import (
     DEFAULT_B_CLAMP, assemble_problem, control_field, feedback_gain, integrate_vsl,
 )
-from .solvers import SolverError, stable_dt, step_linear, step_nonlinear
+from .solvers import SolverError, apply_boundary, stable_dt, step_linear, step_nonlinear
 
 MODELS = ("linear", "nonlinear")
 
@@ -171,23 +171,14 @@ class SimulationHistory:
             raise ValueError("all frame sequences must share the length of times")
 
 
-def boundary_ramp(
-    bc_reading: str, road_length: float, scale: float = 1.0
-) -> tuple[float, float]:
+def boundary_ramp(road_length: float, scale: float = 1.0) -> tuple[float, float]:
     """Decay rate (1/s) and growth rate (cars/km per s) of the upstream ramp.
 
-    bc_reading selects how the ramp coefficients read the road length:
-    "km" gives decay L_km * 1e-6 and growth scale/(4 L_km) cars/km/s
-    (the reference, which produces the rising upstream density), "m"
-    uses the length in meters, making both terms negligible over the run.
+    With the road length L_km in km: decay L_km * 1e-6 and growth
+    scale/(4 L_km), the reference ramp that makes the upstream density rise.
     """
-    if bc_reading == "km":
-        length_scale = road_length / M_PER_KM
-    elif bc_reading == "m":
-        length_scale = road_length
-    else:
-        raise ValueError(f"bc_reading must be 'km' or 'm', got {bc_reading!r}")
-    return length_scale * 1e-6, scale / (4.0 * length_scale)
+    length_km = road_length / M_PER_KM
+    return length_km * 1e-6, scale / (4.0 * length_km)
 
 
 def reference_scenario(
@@ -196,17 +187,16 @@ def reference_scenario(
     q0: float = REFERENCE_Q0,
     control_enabled: bool = True,
     n_cells: int = REFERENCE_N_CELLS,
-    bc_reading: str = "km",
     amplitude_scale: float = 1.0,
     sim_time: float = REFERENCE_PARAMS["sim_time_s"],
 ) -> Scenario:
     """Build the reference scenario with the tabulated parameters.
 
-    bc_reading is passed to boundary_ramp. amplitude_scale multiplies
-    every perturbation amplitude, for linearization studies.
+    amplitude_scale multiplies every perturbation amplitude, the ramp's
+    growth rate included, for linearization studies.
     """
     params = params_from_paper_units(**{**REFERENCE_PARAMS, "sim_time_s": sim_time})
-    decay, growth = boundary_ramp(bc_reading, params.road_length, amplitude_scale)
+    decay, growth = boundary_ramp(params.road_length, amplitude_scale)
     return Scenario(
         params=params,
         n_cells=n_cells,
@@ -370,9 +360,7 @@ def run_simulation(
         while t < next_frame:  # the step that reaches next_frame sets t to it exactly
             at_frame = t + dt_fixed >= next_frame - 1e-12
             dt = next_frame - t if at_frame else dt_fixed
-            extended[0] = upstream_boundary(t, scenario) - base
-            extended[1:-1] = state
-            extended[-1] = state[-1]
+            apply_boundary(extended, state, upstream_boundary(t, scenario) - base)
             if linear:
                 state, fluxes = step_linear(grid, extended, u_opt, problem, dt)
             else:

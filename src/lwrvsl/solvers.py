@@ -14,10 +14,10 @@ Two explicit first-order schemes share the grid and boundary plumbing:
 States are plain 1-D arrays: drho for the linear plant, rho for the
 nonlinear one. A stepper takes the state with one ghost cell at each end,
 in the same kind: Dirichlet upstream (valid while characteristics enter
-from the left, guaranteed in free flow) and zero-gradient downstream;
-run_simulation refills one such buffer per run, apply_boundary builds one
-for direct callers. Each stepper takes the grid and that extended array,
-leaves it unchanged, and returns (new_values, interface_fluxes).
+from the left, guaranteed in free flow) and zero-gradient downstream.
+apply_boundary alone writes that policy, refilling a buffer its caller
+allocates once per march. Each stepper takes the grid and that extended
+array, leaves it unchanged, and returns (new_values, interface_fluxes).
 The steppers do arithmetic only and raise nothing: a caller owns the CFL
 condition by taking dt from stable_dt, and run_simulation checks the
 density bound after every step.
@@ -46,13 +46,19 @@ def stable_dt(dz: float, wave_speed: float, cfl: float) -> float:
     return cfl * dz / wave_speed
 
 
-def apply_boundary(values: np.ndarray, upstream_value: float) -> np.ndarray:
-    """Ghost-extended copy: upstream_value in front, the last cell repeated behind.
+def apply_boundary(
+    extended: np.ndarray, values: np.ndarray, upstream_value: float
+) -> np.ndarray:
+    """Refill extended, of size values.size + 2, in place and return it.
 
-    upstream_value is in the kind of values: a perturbation for the
-    linear plant, an absolute density for the nonlinear one.
+    It holds upstream_value in front, then the cells, then the last cell
+    repeated. upstream_value is in the kind of values: a perturbation for
+    the linear plant, an absolute density for the nonlinear one.
     """
-    return np.concatenate(([upstream_value], values, values[-1:]))
+    extended[0] = upstream_value
+    extended[1:-1] = values
+    extended[-1] = values[-1]
+    return extended
 
 
 def step_linear(

@@ -29,6 +29,7 @@ from .riccati import (
     phi_numeric_oracle,
 )
 from .scenario import (
+    MODELS,
     REFERENCE_Q0,
     REFERENCE_Q0_VALUES,
     absolute_density,
@@ -94,17 +95,12 @@ def check_phi_boundary() -> CheckResult:
     )
 
 
-def check_riccati_residual(phi_fn=None) -> CheckResult:
-    """ODE residual of the closed form from 4th-order central differences.
-
-    phi_fn defaults to phi_closed_form and is injectable so corrupted
-    profiles can be shown to fail the check.
-    """
+def check_riccati_residual() -> CheckResult:
+    """ODE residual of the closed form from 4th-order central differences."""
     problem = default_problem()
-    phi_fn = phi_fn or phi_closed_form
     z = np.linspace(0.0, problem.length, 10_000)
     h = z[1] - z[0]
-    phi = np.asarray(phi_fn(z, problem))
+    phi = phi_closed_form(z, problem)
     dphi = (-phi[4:] + 8.0 * phi[3:-1] - 8.0 * phi[1:-3] + phi[:-4]) / (12.0 * h)
     interior = phi[2:-2]
     residual = np.abs(
@@ -215,8 +211,10 @@ def linear_convergence_l1_errors(n_cells_list: tuple[int, ...]) -> list[float]:
         dt = final_time / n_steps
         state = _bump(grid.cell_centers, amplitude)
         zeros = np.zeros(grid.n_cells + 1)
+        extended = np.empty(grid.n_cells + 2)
         for _ in range(n_steps):
-            state, _ = step_linear(grid, apply_boundary(state, 0.0), zeros, problem, dt)
+            apply_boundary(extended, state, 0.0)
+            state, _ = step_linear(grid, extended, zeros, problem, dt)
         exact = _bump(grid.cell_centers - speed * final_time, amplitude)
         errors.append(float(np.sum(np.abs(state - exact)) * grid.dz))
     return errors
@@ -257,8 +255,9 @@ def nonlinear_convergence_l1_errors() -> list[float]:
         dt = final_time / n_steps
         state = params.rho_0 + _bump(grid.cell_centers, amplitude)
         b_profile = np.full(grid.n_cells + 1, params.b_0)
+        extended = np.empty(grid.n_cells + 2)
         for _ in range(n_steps):
-            extended = apply_boundary(state, params.rho_0)
+            apply_boundary(extended, state, params.rho_0)
             state, _ = step_nonlinear(grid, extended, b_profile, params, dt)
         exact = _nonlinear_exact(grid.cell_centers, final_time, amplitude, params)
         errors.append(float(np.sum(np.abs(state - exact)) * grid.dz))
@@ -308,7 +307,7 @@ def linearization_gaps() -> list[float]:
     gaps = []
     for scale in LINEARIZATION_SCALES:
         finals = []
-        for model in ("linear", "nonlinear"):
+        for model in MODELS:
             scenario = reference_scenario(
                 model=model, control_enabled=False, amplitude_scale=scale
             )

@@ -52,7 +52,7 @@ def _exact_linear_total_cars(q0, times):
     """Exact car count of the closed linear loop of the reference scenario.
 
     The initial and boundary data are taken from their documented form
-    (README "Configuration" and reference_scenario, bc_reading "km"), not
+    (README "Configuration" and reference_scenario's default ramp), not
     from the scenario module: rho(0, z) = rho_0 + A sin(pi z / L) with
     A = 10 cars/km, and rho(t, 0) = rho_0 + A_b exp(-kappa t) sin(pi t / P)
     + gamma t with A_b = 5 cars/km, P = 20 s, kappa = 2e-6 1/s and

@@ -91,8 +91,8 @@ def test_vsl_integration_count(bench, model):
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])
 def test_closed_loop_call_counts(bench, model):
     # per nonlinear step one flux evaluation (the stacked demand and supply
-    # states), plus one in assemble_problem; the driver refills its own ghost
-    # buffer, so apply_boundary is left to direct callers
+    # states), plus one in assemble_problem; per step one apply_boundary
+    # refill of the run's ghost buffer
     targets = bench.layer_targets(lwrvsl)
     traced = ("fundamental.flux", "solvers.apply_boundary", "riccati.integrate_vsl",
               *bench.STEPPERS)
@@ -107,7 +107,7 @@ def test_closed_loop_call_counts(bench, model):
     assert calls["solvers.step_linear"] + nonlinear_steps == 6
     assert nonlinear_steps == (6 if model == "nonlinear" else 0)
     assert calls["fundamental.flux"] == nonlinear_steps + 1
-    assert calls["solvers.apply_boundary"] == 0
+    assert calls["solvers.apply_boundary"] == 6
     assert calls["riccati.integrate_vsl"] == (
         len(history.times) if model == "linear" else nonlinear_steps + 1
     )

@@ -1,5 +1,6 @@
 """YAML run-configuration schema: defaults, overrides, and rejection paths."""
 
+import dataclasses
 import textwrap
 
 import pytest
@@ -70,25 +71,28 @@ class TestOverrides:
         assert config.output_dir == "results"
         assert config.output_cadence == 2.0
 
-    def test_bc_reading_controls_ramp_scale(self):
-        km = _parse("scenario: {bc_reading: km}\n")
-        assert km.scenario.bc_decay_rate == 2e-6
-        assert km.scenario.bc_growth_rate == 0.125
-        m = _parse("scenario: {bc_reading: m}\n")
-        assert m.scenario.bc_decay_rate == 2e-3
-        assert m.scenario.bc_growth_rate == 1.25e-4
+    def test_bc_reading_is_an_unknown_key(self):
+        # the ramp rates default to the road length read in km; any other
+        # ramp is given by its two rates
+        with pytest.raises(ConfigError, match="unknown config key: scenario.bc_reading"):
+            _parse("scenario: {bc_reading: m}\n")
 
-    def test_explicit_ramp_rates_beat_the_reading(self):
+    def test_explicit_rates_reproduce_the_negligible_ramp(self):
+        # the ramp of the road length read in meters: 2e-3 1/s, 1.25e-4 cars/km/s
         config = _parse(
             """
             scenario:
-              bc_reading: km
-              bc_decay_rate_per_s: 0.01
-              bc_growth_rate_per_km_s: 0.0
+              bc_decay_rate_per_s: 2.0e-3
+              bc_growth_rate_per_km_s: 1.25e-4
             """
         )
-        assert config.scenario.bc_decay_rate == 0.01
-        assert config.scenario.bc_growth_rate == 0.0
+        negligible = dataclasses.replace(
+            reference_scenario(), bc_decay_rate=2e-3, bc_growth_rate=1.25e-4
+        )
+        assert config.scenario == negligible
+        growth_only = _parse("scenario: {bc_growth_rate_per_km_s: 0.0}\n")
+        assert growth_only.scenario.bc_decay_rate == 2e-6
+        assert growth_only.scenario.bc_growth_rate == 0.0
 
     def test_clamp_override(self):
         config = _parse("control: {b_min: 0.5, b_max: 1.5}\n")

@@ -114,10 +114,6 @@ class TestGrid:
         assert grid.interfaces[0] == 0.0
         assert grid.interfaces[-1] == 2000.0
 
-    def test_length_property(self):
-        grid = make_grid(1234.0, 10)
-        assert grid.length == pytest.approx(1234.0, rel=1e-15)
-
     def test_centers_sit_between_interfaces(self):
         grid = make_grid(777.0, 7)
         mids = 0.5 * (grid.interfaces[:-1] + grid.interfaces[1:])

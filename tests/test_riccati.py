@@ -200,6 +200,17 @@ class TestNumericOracle:
 
 
 class TestVerifyChecks:
+    def test_residual_check_catches_a_scaled_closed_form(self, monkeypatch):
+        # Phi (1 + e) leaves a residual of e (q0 + B0^2 Phi^2 / r0), at least e q0
+        closed_form = verify.phi_closed_form
+        monkeypatch.setattr(
+            verify, "phi_closed_form", lambda z, problem: closed_form(z, problem) * (1.0 + 1e-6)
+        )
+        result = verify.check_riccati_residual()
+        assert result.name == "riccati-residual"
+        assert not result.passed
+        assert result.measured >= 1e-6
+
     def test_oracle_check_catches_a_scaled_closed_form(self, monkeypatch):
         closed_form = verify.phi_closed_form
         monkeypatch.setattr(
@@ -246,7 +257,7 @@ class TestFeedbackGain:
 
 
 def _perturbation_field(grid, amplitude=0.01):
-    return amplitude * np.sin(np.pi * grid.cell_centers / grid.length)
+    return amplitude * np.sin(np.pi * grid.cell_centers / grid.interfaces[-1])
 
 
 def _gain(grid, problem):

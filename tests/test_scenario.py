@@ -16,7 +16,6 @@ from lwrvsl import (
     SimulationHistory,
     SolverError,
     absolute_density,
-    apply_boundary,
     assemble_problem,
     characteristic_speed,
     control_field,
@@ -63,15 +62,11 @@ class TestReferenceScenario:
         assert scenario.model == "linear"
         assert scenario.control_enabled
 
-    def test_boundary_ramp_readings(self):
-        km = reference_scenario(bc_reading="km")
-        assert km.bc_decay_rate == 2e-6
-        assert km.bc_growth_rate == 0.125
-        m = reference_scenario(bc_reading="m")
-        assert m.bc_decay_rate == 2e-3
-        assert m.bc_growth_rate == 1.25e-4
-        with pytest.raises(ValueError, match="bc_reading"):
-            reference_scenario(bc_reading="mi")
+    def test_boundary_ramp_reads_km(self):
+        # on the 2 km road: decay 2 * 1e-6 1/s and growth 1 / (4 * 2) cars/km/s
+        scenario = reference_scenario()
+        assert scenario.bc_decay_rate == 2e-6
+        assert scenario.bc_growth_rate == 0.125
 
     def test_amplitude_scale(self):
         scenario = reference_scenario(amplitude_scale=0.5)
@@ -222,7 +217,7 @@ class TestTimeToTarget:
 
 
 def _reference_run(scenario, frame_interval, cfl=REFERENCE_CFL):
-    """The closed loop as first written: a ghost-extended copy from apply_boundary per step.
+    """The closed loop as first written: a new ghost-extended copy per step.
 
     Returns the frame matrices and totals, the boundary car counts, and the
     ghost-extended state of every step.
@@ -259,7 +254,8 @@ def _reference_run(scenario, frame_interval, cfl=REFERENCE_CFL):
         while t < next_frame:
             at_frame = t + dt_fixed >= next_frame - 1e-12
             dt = next_frame - t if at_frame else dt_fixed
-            extended = apply_boundary(state, upstream_boundary(t, scenario) - base)
+            upstream = upstream_boundary(t, scenario) - base
+            extended = np.concatenate(([upstream], state, state[-1:]))
             extended_states.append(extended)
             if linear:
                 state, fluxes = step_linear(grid, extended, u_opt, problem, dt)
@@ -531,22 +527,26 @@ class TestGeneratedScenarios:
         q0_exponent=st.floats(min_value=-7.0, max_value=-3.0),
         amplitude_scale=st.floats(min_value=0.0, max_value=1.25),
         n_cells=st.integers(min_value=8, max_value=800),
-        bc_reading=st.sampled_from(["km", "m"]),
+        # the reference ramp, or the negligible one: 2e-3 1/s and scale/8000 cars/km/s
+        ramp=st.sampled_from(["reference", "negligible"]),
         model=st.sampled_from(["linear", "nonlinear"]),
         control_enabled=st.booleans(),
     )
     def test_density_bounds_mass_balance_and_determinism(
-        self, q0_exponent, amplitude_scale, n_cells, bc_reading, model, control_enabled
+        self, q0_exponent, amplitude_scale, n_cells, ramp, model, control_enabled
     ):
         scenario = reference_scenario(
             model=model,
             q0=10.0**q0_exponent,
             control_enabled=control_enabled,
             n_cells=n_cells,
-            bc_reading=bc_reading,
             amplitude_scale=amplitude_scale,
             sim_time=20.0,
         )
+        if ramp == "negligible":
+            scenario = dataclasses.replace(
+                scenario, bc_decay_rate=2e-3, bc_growth_rate=amplitude_scale / 8000.0
+            )
         courants = []
         linear, nonlinear = self._courant_checked(courants)
         with pytest.MonkeyPatch.context() as patch:

@@ -1,11 +1,14 @@
 """Finite-volume steppers: boundaries, the CFL step rule, upwind and Godunov."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lwrvsl.scenario as scenario_module
+from lwrvsl import verify
 from lwrvsl import (
     SimulationHistory,
     SolverError,
@@ -35,6 +38,11 @@ RHO_C = 0.08
 FREE_WAVE = 11.979166666666666
 # the linear plant's coefficients V = -FREE_WAVE and B0 = -flux(rho_0, 1)
 PROBLEM = assemble_problem(PARAMS, 5e-5)
+
+
+def _ghosted(values, upstream_value):
+    """values with its two ghost cells, in a buffer of its own."""
+    return apply_boundary(np.empty(values.size + 2), values, upstream_value)
 
 densities = st.floats(min_value=0.0, max_value=0.16, allow_nan=False)
 # the critical density exactly, free-flow and congested cells, and the two ends
@@ -94,9 +102,21 @@ class TestToAbsolute:
 class TestApplyBoundary:
     def test_absolute_ghosts(self):
         values = np.array([0.04, 0.06])
-        extended = apply_boundary(values, 0.055)
+        buffer = np.empty(4)
+        extended = apply_boundary(buffer, values, 0.055)
+        assert extended is buffer
         assert extended.tolist() == [0.055, 0.04, 0.06, 0.06]
         assert values.tolist() == [0.04, 0.06]
+
+    def test_refill_leaves_no_stale_ghost(self):
+        buffer = np.full(5, np.nan)
+        values = np.array([0.01, 0.02, 0.03])
+        assert apply_boundary(buffer, values, 0.04) is buffer
+        assert buffer.tolist() == [0.04, 0.01, 0.02, 0.03, 0.03]
+        # a second state in the same buffer keeps nothing of the first
+        apply_boundary(buffer, np.array([0.05, 0.06, 0.07]), 0.08)
+        assert buffer.tolist() == [0.08, 0.05, 0.06, 0.07, 0.07]
+        assert values.tolist() == [0.01, 0.02, 0.03]
 
 
 class TestStepLinear:
@@ -104,7 +124,7 @@ class TestStepLinear:
         grid = make_grid(2000.0, 50)
         values = 0.01 * np.exp(-((grid.cell_centers - 600.0) / 150.0) ** 2)
         dt = grid.dz / FREE_WAVE
-        new_values, _ = step_linear(grid, apply_boundary(values, 0.0), np.zeros(51), PROBLEM, dt)
+        new_values, _ = step_linear(grid, _ghosted(values, 0.0), np.zeros(51), PROBLEM, dt)
         expected = np.concatenate(([0.0], values[:-1]))
         assert np.allclose(new_values, expected, rtol=0.0, atol=1e-14)
 
@@ -114,7 +134,7 @@ class TestStepLinear:
         values = 0.005 * np.sin(2.0 * np.pi * grid.cell_centers / 2000.0)
         u = 1e-5 * np.cos(np.pi * grid.interfaces / 2000.0)
         dt = 0.1
-        new_values, fluxes = step_linear(grid, apply_boundary(values, 0.002), u, PROBLEM, dt)
+        new_values, fluxes = step_linear(grid, _ghosted(values, 0.002), u, PROBLEM, dt)
         lhs = np.sum(new_values - values) * grid.dz
         b0_coef = -flux(PARAMS.rho_0, 1.0, PARAMS)
         source = b0_coef * 0.5 * (u[:-1] + u[1:])
@@ -125,7 +145,7 @@ class TestStepLinear:
         grid = make_grid(2000.0, 20)
         u = np.full(21, 0.01)
         dt = 0.2
-        new_values, _ = step_linear(grid, apply_boundary(np.zeros(20), 0.0), u, PROBLEM, dt)
+        new_values, _ = step_linear(grid, _ghosted(np.zeros(20), 0.0), u, PROBLEM, dt)
         expected = dt * (-flux(PARAMS.rho_0, 1.0, PARAMS)) * 0.01
         assert np.allclose(new_values, expected, rtol=1e-14, atol=0.0)
         assert np.all(new_values < 0.0)
@@ -133,7 +153,7 @@ class TestStepLinear:
     def test_reported_fluxes_are_upwind(self):
         grid = make_grid(2000.0, 4)
         values = np.array([0.001, 0.002, 0.003, 0.004])
-        _, fluxes = step_linear(grid, apply_boundary(values, 0.005), np.zeros(5), PROBLEM, 0.1)
+        _, fluxes = step_linear(grid, _ghosted(values, 0.005), np.zeros(5), PROBLEM, 0.1)
         expected = FREE_WAVE * np.concatenate(([0.005], values))
         assert fluxes.shape == (5,)
         assert np.allclose(fluxes, expected, rtol=1e-12, atol=0.0)
@@ -225,7 +245,7 @@ class TestStepNonlinear:
         grid = make_grid(2000.0, 20)
         values = np.full(20, 0.05)
         new_values, fluxes = step_nonlinear(
-            grid, apply_boundary(values, 0.05), np.ones(21), PARAMS, 0.3
+            grid, _ghosted(values, 0.05), np.ones(21), PARAMS, 0.3
         )
         assert np.array_equal(new_values, values)
         assert np.all(fluxes == flux(0.05, 1.0, PARAMS))
@@ -235,7 +255,7 @@ class TestStepNonlinear:
         values = 0.05 + 0.01 * np.sin(2.0 * np.pi * grid.cell_centers / 2000.0)
         dt = 0.2
         new_values, fluxes = step_nonlinear(
-            grid, apply_boundary(values, 0.052), np.ones(41), PARAMS, dt
+            grid, _ghosted(values, 0.052), np.ones(41), PARAMS, dt
         )
         lhs = np.sum(new_values - values) * grid.dz
         rhs = -dt * (fluxes[-1] - fluxes[0])
@@ -253,7 +273,7 @@ class TestStepNonlinear:
         # drains the last cell below zero within one large step, and the
         # driver's density check stops the run on that state
         grid = make_grid(40.0, 8)
-        extended = apply_boundary(np.full(8, RHO_C), RHO_C)
+        extended = _ghosted(np.full(8, RHO_C), RHO_C)
         b = np.full(9, 0.1)
         b[-1] = 2.0
         new_values, _ = step_nonlinear(grid, extended, b, PARAMS, 0.5)
@@ -261,3 +281,50 @@ class TestStepNonlinear:
         scenario = reference_scenario(model="nonlinear")
         with pytest.raises(SolverError, match="left \\[0, rho_max\\] in the nonlinear run"):
             scenario_module._check_density(new_values, 0.0, 0.5, scenario)
+
+
+class TestConvergenceStudies:
+    # each study refills one ghost buffer per grid; a fresh ghost-extended
+    # copy per step, as np.concatenate builds it, must give the same bits
+
+    def test_linear_study_equals_a_fresh_copy_per_step(self):
+        problem = verify.default_problem()
+        speed = -problem.v_coef
+        final_time, amplitude = verify.LINEAR_FINAL_TIME, verify.LINEAR_AMPLITUDE
+        errors = []
+        for n_cells in verify.CONVERGENCE_CELLS:
+            grid = make_grid(2000.0, n_cells)
+            n_steps = math.ceil(
+                final_time / stable_dt(grid.dz, speed, verify.CONVERGENCE_CFL)
+            )
+            state = verify._bump(grid.cell_centers, amplitude)
+            for _ in range(n_steps):
+                extended = np.concatenate(([0.0], state, state[-1:]))
+                state, _ = step_linear(
+                    grid, extended, np.zeros(n_cells + 1), problem, final_time / n_steps
+                )
+            exact = verify._bump(grid.cell_centers - speed * final_time, amplitude)
+            errors.append(float(np.sum(np.abs(state - exact)) * grid.dz))
+        studied = verify.linear_convergence_l1_errors(verify.CONVERGENCE_CELLS)
+        assert [e.hex() for e in studied] == [e.hex() for e in errors]
+
+    def test_nonlinear_study_equals_a_fresh_copy_per_step(self):
+        final_time, amplitude = verify.NONLINEAR_FINAL_TIME, verify.NONLINEAR_AMPLITUDE
+        params = reference_scenario(sim_time=final_time).params
+        wave_bound = -verify.default_problem().v_coef
+        errors = []
+        for n_cells in verify.CONVERGENCE_CELLS:
+            grid = make_grid(2000.0, n_cells)
+            n_steps = math.ceil(
+                final_time / stable_dt(grid.dz, wave_bound, verify.CONVERGENCE_CFL)
+            )
+            state = params.rho_0 + verify._bump(grid.cell_centers, amplitude)
+            for _ in range(n_steps):
+                extended = np.concatenate(([params.rho_0], state, state[-1:]))
+                state, _ = step_nonlinear(
+                    grid, extended, np.ones(n_cells + 1), params, final_time / n_steps
+                )
+            exact = verify._nonlinear_exact(grid.cell_centers, final_time, amplitude, params)
+            errors.append(float(np.sum(np.abs(state - exact)) * grid.dz))
+        studied = verify.nonlinear_convergence_l1_errors()
+        assert [e.hex() for e in studied] == [e.hex() for e in errors]
