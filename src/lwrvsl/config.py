@@ -3,7 +3,9 @@
 The schema is key-value with nested sections; every dimensional key
 carries its unit as a suffix (rho_max_per_km, u_max_kph, sim_time_s).
 Unknown keys are rejected with their full path, and a key that matches a
-known one up to the unit suffix gets a dedicated mismatch error. An
+known one up to the unit suffix gets a dedicated mismatch error. A key
+takes the type of its default (a null default means a derived number),
+and run_simulation caps frames x (n_cells + 1) at MAX_FRAME_VALUES. An
 empty document yields the full reference configuration.
 """
 
@@ -83,51 +85,64 @@ _SCHEMA: dict[str, dict[str, object]] = {
 }
 
 
-def _merge_section(section: str, given: dict) -> dict:
-    schema = _SCHEMA[section]
-    for key in given:
-        if key in schema:
-            continue
-        related = sorted(
-            known
-            for known in schema
-            if known.startswith(str(key)) or str(key).startswith(known)
-        )
-        if related:
-            raise ConfigError(
-                f"unit-suffix mismatch at {section}.{key}: did you mean "
-                f"{', '.join(repr(k) for k in related)}?"
-            )
-        raise ConfigError(f"unknown config key: {section}.{key}")
-    return {**schema, **given}
-
-
-def _number(section: str, key: str, value: object) -> float:
+def _typed(path: str, default: object, value: object) -> object:
+    """value checked against, and converted to, the type of its schema default."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path} must be true or false, got {value!r}")
+        return value
+    if isinstance(default, str):
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{path} must be a non-empty string, got {value!r}")
+        return value
+    if isinstance(default, list):
+        value = [value] if isinstance(value, str) else value
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return value
+    if value is None and default is None:
+        return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _count(section: str, key: str, value: object) -> int:
-    number = _number(section, key, value)
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(f"{path} must be a finite number") from None
+    if not isinstance(default, int):
+        return number
     if not number.is_integer():  # also false for nan and inf
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
     return int(number)
 
 
-def _flag(section: str, key: str, value: object) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
-    return value
+def _merge_section(section: str, given: dict) -> dict:
+    schema = _SCHEMA[section]
+    merged = dict(schema)
+    for key, value in given.items():
+        if key not in schema:
+            related = sorted(
+                known
+                for known in schema
+                if known.startswith(str(key)) or str(key).startswith(known)
+            )
+            if related:
+                raise ConfigError(
+                    f"unit-suffix mismatch at {section}.{key}: did you mean "
+                    f"{', '.join(repr(k) for k in related)}?"
+                )
+            raise ConfigError(f"unknown config key: {section}.{key}")
+        merged[key] = _typed(f"{section}.{key}", schema[key], value)
+    return merged
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a YAML document into a RunConfig, applying defaults.
 
-    Keys and value types are checked here. Each value's range is checked
-    once, by what it is passed to (TrafficParams, Scenario and the
-    make_grid it calls, RunConfig), and their ValueError is raised as
-    ConfigError. The ramp rates left unset default to boundary_ramp's.
+    Keys, and each value against its default's type, are checked here,
+    all before any range. Each value's range is checked once, by what it
+    is passed to (TrafficParams, Scenario and the make_grid it calls,
+    RunConfig), and their ValueError is raised as ConfigError. The ramp
+    rates left unset default to boundary_ramp's.
     """
     try:
         document = yaml.safe_load(text)
@@ -142,68 +157,41 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"unknown config section: {section}")
         if not isinstance(document[section], dict):
             raise ConfigError(f"config section {section} must be a mapping")
-    merged = {
-        section: _merge_section(section, document.get(section, {}))
-        for section in _SCHEMA
-    }
+    sections = [_merge_section(section, document.get(section, {})) for section in _SCHEMA]
     try:
-        return _run_config(merged)
+        return _run_config(*sections)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from None
 
 
-def _run_config(merged: dict[str, dict]) -> RunConfig:
-    par = merged["params"]
-    params = params_from_paper_units(
-        **{key: _number("params", key, value) for key, value in par.items()}
-    )
-
-    num = merged["numerics"]
-
-    scn = merged["scenario"]
+def _run_config(par: dict, scn: dict, ctl: dict, num: dict, out: dict) -> RunConfig:
+    params = params_from_paper_units(**par)
     bc_decay_rate, bc_growth_rate = boundary_ramp(params.road_length)
     if scn["bc_decay_rate_per_s"] is not None:
-        bc_decay_rate = _number("scenario", "bc_decay_rate_per_s", scn["bc_decay_rate_per_s"])
+        bc_decay_rate = scn["bc_decay_rate_per_s"]
     if scn["bc_growth_rate_per_km_s"] is not None:
-        bc_growth_rate = _number(
-            "scenario", "bc_growth_rate_per_km_s", scn["bc_growth_rate_per_km_s"]
-        )
-
-    ctl = merged["control"]
+        bc_growth_rate = scn["bc_growth_rate_per_km_s"]
     scenario = Scenario(
         params=params,
-        n_cells=_count("numerics", "n_cells", num["n_cells"]),
-        q0=_number("control", "q0", ctl["q0"]),
+        n_cells=num["n_cells"],
+        q0=ctl["q0"],
         bc_decay_rate=bc_decay_rate,
         bc_growth_rate=bc_growth_rate,
-        ic_amplitude=_number("scenario", "ic_amplitude_per_km", scn["ic_amplitude_per_km"]),
-        bc_osc_amplitude=_number(
-            "scenario", "bc_osc_amplitude_per_km", scn["bc_osc_amplitude_per_km"]
-        ),
-        bc_osc_period=_number("scenario", "bc_osc_period_s", scn["bc_osc_period_s"]),
-        r0=_number("control", "r0", ctl["r0"]),
-        control_enabled=_flag("control", "enabled", ctl["enabled"]),
+        ic_amplitude=scn["ic_amplitude_per_km"],
+        bc_osc_amplitude=scn["bc_osc_amplitude_per_km"],
+        bc_osc_period=scn["bc_osc_period_s"],
+        r0=ctl["r0"],
+        control_enabled=ctl["enabled"],
         model=scn["model"],
-        clamp=(
-            _number("control", "b_min", ctl["b_min"]),
-            _number("control", "b_max", ctl["b_max"]),
-        ),
+        clamp=(ctl["b_min"], ctl["b_max"]),
     )
-
-    out = merged["output"]
     formats = out["formats"]
-    if isinstance(formats, str):
-        formats = [formats]
-    if not isinstance(formats, list):
-        raise ConfigError(f"output.formats must be a list, got {formats!r}")
-    if not isinstance(out["dir"], str) or not out["dir"]:
-        raise ConfigError("output.dir must be a non-empty string")
     return RunConfig(
         scenario=scenario,
-        cfl=_number("numerics", "cfl", num["cfl"]),
+        cfl=num["cfl"],
         output_dir=out["dir"],
-        output_cadence=_number("output", "cadence_s", out["cadence_s"]),
+        output_cadence=out["cadence_s"],
         formats=tuple(f for i, f in enumerate(formats) if f not in formats[:i]),
     )

@@ -16,8 +16,10 @@ import numpy as np
 M_PER_KM = 1000.0   # cars/km / M_PER_KM -> cars/m
 KMH_PER_MPS = 3.6   # km/h / KMH_PER_MPS -> m/s
 
-# the finest grid: a 120 s run's three frame matrices at 0.5 s cadence take ~580 MB
+# the finest grid: a 120 s run's three frame matrices at 0.5 s cadence take ~580 MB;
+# run_simulation holds every run to that budget of frames x (n_cells + 1) values
 MAX_N_CELLS = 100_000
+MAX_FRAME_VALUES = 241 * (MAX_N_CELLS + 1)
 
 
 def require_positive(name: str, value: float) -> None:

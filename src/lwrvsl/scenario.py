@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (
-    M_PER_KM, Grid1D, TrafficParams, make_grid, params_from_paper_units, require_positive,
+    M_PER_KM, MAX_FRAME_VALUES, Grid1D, TrafficParams, make_grid, params_from_paper_units,
+    require_positive,
 )
 from .riccati import (
     DEFAULT_B_CLAMP, assemble_problem, control_field, feedback_gain, integrate_vsl,
@@ -316,11 +317,19 @@ def run_simulation(
     (b_cap being the clamp ceiling when control is on, else b_0),
     shortened only to land exactly on frame instants. The frame instants,
     every frame_interval seconds and at T, are listed first; one row of
-    density, VSL rate, control and total cars is filled at each.
+    density, VSL rate, control and total cars is filled at each. A run
+    whose frame matrices would hold more than MAX_FRAME_VALUES values
+    raises ValueError before any of them, or the list, is built.
     """
     require_positive("frame_interval", frame_interval)
     p = scenario.params
     grid = scenario.grid
+    # the list below holds 1 + ceil((T - 1e-9) / frame_interval) instants
+    if (p.sim_time - 1e-9) / frame_interval > MAX_FRAME_VALUES // (grid.n_cells + 1) - 1:
+        raise ValueError(
+            f"frame_interval={frame_interval} s over sim_time={p.sim_time} s on n_cells="
+            f"{grid.n_cells} asks for more than {MAX_FRAME_VALUES} values per frame matrix"
+        )
     b_cap = scenario.clamp[1] if scenario.control_enabled else p.b_0
     dt_fixed = stable_dt(grid.dz, b_cap * p.u_max, cfl)
     linear = scenario.model == "linear"

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import lwrvsl.cli as cli_module
 import lwrvsl.params as params_module
+import lwrvsl.scenario as scenario_module
 from lwrvsl import ConfigError, parse_config, reference_scenario
-from lwrvsl.params import MAX_N_CELLS
+from lwrvsl.config import _SCHEMA
+from lwrvsl.params import MAX_FRAME_VALUES, MAX_N_CELLS
 
 
 def _parse(text):
@@ -211,6 +213,93 @@ class TestRejection:
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigError, match="must be a mapping"):
             _parse("params: 5\n")
+
+    def test_frame_count_above_the_ceiling_allocates_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        class NoAllocation:
+            def __getattr__(self, name):
+                raise AssertionError(f"run_simulation reached numpy.{name}")
+
+        # 120,000,001 frames of 401 values: parse_config takes it, run_simulation refuses
+        monkeypatch.setattr(scenario_module, "np", NoAllocation())
+        path = tmp_path / "dense.yaml"
+        path.write_text("output: {cadence_s: 1.0e-6}\n")
+        out = tmp_path / "out"
+        assert cli_module.main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: frame_interval=1e-06 s over sim_time=120.0 s")
+        assert f"n_cells=400 asks for more than {MAX_FRAME_VALUES} values" in err
+        assert not out.exists()
+        argv = ["sweep", "--config", str(path), "--out", str(out), "--q0", "1e-5", "--q0", "5e-5"]
+        assert cli_module.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": frame_interval=")[0] for line in err] == [
+            "sweep member q0=1e-05 failed", "sweep member q0=5e-05 failed"
+        ]
+        assert not out.exists()
+
+    def test_integer_beyond_the_float_range(self):
+        huge = "1" + "0" * 400
+        for path in ("control.q0", "numerics.n_cells"):
+            section, key = path.split(".")
+            with pytest.raises(ConfigError, match=f"^{path} must be a finite number$"):
+                _parse(f"{section}: {{{key}: {huge}}}\n")
+
+
+SCHEMA_PATHS = [f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys]
+
+
+class TestTypedSchema:
+    """Each key takes the type of its default, checked before any range."""
+
+    @pytest.mark.parametrize("path", SCHEMA_PATHS)
+    def test_wrong_type_names_the_key(self, path):
+        section, key = path.split(".")
+        default = _SCHEMA[section][key]
+        # a bare string is a one-entry list, so lists and strings are given a number
+        wrong = ["5"] if isinstance(default, (str, list)) else ["fast"]
+        if default is not None:
+            wrong.append("null")
+        for value in wrong:
+            with pytest.raises(ConfigError, match=f"^{path} must be "):
+                _parse(f"{section}: {{{key}: {value}}}\n")
+
+    def test_only_n_cells_is_integer_typed(self):
+        # a float default written as an int literal would retype its key
+        integer_typed = {
+            f"{section}.{key}"
+            for section, keys in _SCHEMA.items()
+            for key, default in keys.items()
+            if isinstance(default, int) and not isinstance(default, bool)
+        }
+        assert integer_typed == {"numerics.n_cells"}
+
+    def test_values_take_their_default_type(self):
+        # an int is widened for a float key, and an integral float narrowed for n_cells
+        config = _parse("params: {sim_time_s: 60}\nnumerics: {n_cells: 100.0}\n")
+        assert type(config.scenario.params.sim_time) is float
+        assert type(config.scenario.n_cells) is int
+        assert config.scenario.n_cells == 100
+
+    def test_null_means_the_derived_number(self):
+        config = _parse("scenario: {bc_decay_rate_per_s: null}\n")
+        assert config.scenario.bc_decay_rate == 2e-6
+        with pytest.raises(ConfigError, match="^params.b_0 must be a number, got None$"):
+            _parse("params: {b_0: null}\n")
+
+    def test_every_type_is_checked_before_any_range(self):
+        # rho_0 = 90 cars/km is a congested equilibrium, but the n_cells type error comes first
+        with pytest.raises(ConfigError, match="^numerics.n_cells must be an integer, got 10.5$"):
+            _parse("params: {rho_0_per_km: 90}\nnumerics: {n_cells: 10.5}\n")
+
+    def test_declared_messages(self):
+        with pytest.raises(ConfigError, match="^output.dir must be a non-empty string, got ''$"):
+            _parse("output: {dir: ''}\n")
+        with pytest.raises(ConfigError, match="^scenario.model must be a non-empty string, got 3$"):
+            _parse("scenario: {model: 3}\n")
+        with pytest.raises(ConfigError, match="must be one of"):
+            _parse("scenario: {model: quantum}\n")
 
 
 

@@ -399,6 +399,14 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="cfl"):
             run_simulation(_tiny(), cfl=1.5)
 
+    def test_frame_budget_counts_the_frames_it_lists(self, monkeypatch):
+        # 7 frames of 21 interface values fit a budget of 7 * 21 values and not one less
+        monkeypatch.setattr(scenario_module, "MAX_FRAME_VALUES", 7 * 21)
+        assert run_simulation(_tiny(), frame_interval=1.0).vsl_frames.shape == (7, 21)
+        monkeypatch.setattr(scenario_module, "MAX_FRAME_VALUES", 7 * 21 - 1)
+        with pytest.raises(ValueError, match="frame_interval=1.0 s over sim_time=6.0 s"):
+            run_simulation(_tiny(), frame_interval=1.0)
+
     @pytest.mark.parametrize("model", ["linear", "nonlinear"])
     def test_nan_density_aborts(self, model, monkeypatch):
         # NaN compares false with both bounds; the per-step check must still stop the run
