@@ -1,14 +1,19 @@
 """Command-line front end: simulate, sweep, riccati, verify.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 solver abort
-or artifact write failure, 3 verification failure.
+Exit codes: 0 success, 1 usage or configuration error, 2 solver abort,
+artifact write failure or a sweep writer process that died, 3
+verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .config import FORMATS, ConfigError, RunConfig, parse_config
@@ -96,19 +101,30 @@ def cmd_simulate(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig, q0_list: list[float]) -> int:
     """Run the members through sweep_q0 and write their artifacts.
 
-    Failed members are reported and left out; the others are kept. A bad
-    q0 list and a failed write of the combined files raise, for main.
+    The runs stay in this process. Each member's files are written by a
+    pool of min(members, usable CPUs) workers forked from it, and the
+    pool is joined before the combined files are written here from the
+    members that were written. A failed run, a failed member write and a
+    worker that died are reported and left out; the others are kept. A
+    bad q0 list and a failed write of the combined files raise, for main.
     """
     members, failures = sweep_q0(config.scenario, q0_list, config.output_cadence, config.cfl)
     out = Path(config.output_dir)
+    labels = [q0_label(history.scenario.q0) for history in members]
     written = []
-    for history in members:
-        label = q0_label(history.scenario.q0)
-        try:
-            write_run_artifacts(out / f"q0_{label}", history, config.formats)
-            written.append(history)
-        except OSError as exc:
-            failures[label] = str(exc)
+    # a pool that is given no job forks no worker
+    workers = max(1, min(len(members), len(os.sched_getaffinity(0))))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        jobs = [
+            pool.submit(write_run_artifacts, out / f"q0_{label}", history, config.formats)
+            for label, history in zip(labels, members)
+        ]
+        for label, history, job in zip(labels, members, jobs):
+            try:
+                job.result()
+                written.append(history)
+            except (OSError, BrokenProcessPool) as exc:
+                failures[label] = str(exc)
     for label, message in failures.items():
         print(f"sweep member q0={label} failed: {message}", file=sys.stderr)
     if written:

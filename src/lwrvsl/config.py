@@ -146,7 +146,7 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         document = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: int literal over 4,300 digits
         raise ConfigError(f"malformed config: {exc}") from None
     if document is None:
         document = {}

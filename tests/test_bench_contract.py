@@ -69,6 +69,24 @@ def test_cell_updates_count_every_step(bench, model):
     assert traced.total_cars_series.tobytes() == plain.total_cars_series.tobytes()
 
 
+def test_sweep_runs_stay_in_the_traced_process(bench, tmp_path):
+    # cell_steps_per_s divides the updates the steppers report in the bench's
+    # own process; a run in a sweep's writer pool would report none
+    targets = bench.layer_targets(lwrvsl)
+    tracer = bench.Tracer(
+        "lwrvsl", {name: targets[name] for name in bench.STEPPERS}, bench.LAYER_COUNTERS
+    )
+    config = tmp_path / "run.yaml"
+    config.write_text("params:\n  sim_time_s: 4\nnumerics:\n  n_cells: 16\n")
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--q0", "1e-5", "--q0", "5e-4"]
+    assert tracer.run_op(lambda: lwrvsl.cli.main(argv)) == 0
+    layers = tracer.op_layers(0)
+    steps = sum(layers[name][0] for name in bench.STEPPERS)
+    assert steps > 0
+    assert tracer.op_counters(0)["solvers.cell_updates"] == steps * 16
+
+
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])
 def test_vsl_integration_count(bench, model):
     # the nonlinear stepper reads the VSL profile on every step, the linear one

@@ -1,11 +1,17 @@
 """Command-line interface: exit codes, overrides, and artifact layout."""
 
+import dataclasses
 import json
+import multiprocessing
+import os
 
 import pytest
 
+import lwrvsl.cli
 from lwrvsl.cli import cmd_sweep, main
 from lwrvsl.config import parse_config
+from lwrvsl.output import write_run_artifacts
+from lwrvsl.scenario import sweep_q0
 
 TINY_CONFIG = """\
 params:
@@ -22,6 +28,15 @@ def config_file(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(TINY_CONFIG)
     return path
+
+
+# writer stand-ins for the sweep's worker pool; module-level, so that they pickle
+def _worker_dies(out_dir, history, formats):
+    os._exit(1)
+
+
+def _worker_raises(out_dir, history, formats):
+    raise RuntimeError("not a write failure")
 
 
 def _simulate(config_file, out_dir, *extra):
@@ -236,6 +251,67 @@ class TestSweep:
         assert (out / "q0_5e-05" / "summary.json").is_file()
         combined = {"total_cars_sweep.csv", "sweep_summary.json", "total_cars_sweep.svg"}
         assert {p.name for p in out.iterdir()} & combined == {blocked}
+
+    def test_member_write_failure_in_a_worker(self, config_file, tmp_path, capsys):
+        # a regular file where the first member's directory goes
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "q0_5e-05").write_text("")
+        argv = ["--config", str(config_file), "--out", str(out)]
+        rc = main(["sweep", *argv, "--q0", "5e-5", "--q0", "5e-4"])
+        assert rc == 2
+        assert "sweep member q0=5e-05 failed" in capsys.readouterr().err
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert list(summary["failures"]) == ["5e-05"]
+        assert summary["q0_values"] == [5e-4]
+        survivor = {p.name for p in (out / "q0_0.0005").iterdir()}
+        assert survivor == {
+            "density.csv", "speed.csv", "vsl.csv", "control.csv", "total_cars.csv",
+            "summary.json", "density.svg", "speed.svg", "vsl.svg",
+        }
+        header = (out / "total_cars_sweep.csv").read_text().splitlines()[0]
+        assert header == "t_s,total_cars[q0=0.0005]"
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_files_equal_in_process_writes(self, tmp_path):
+        q0_list = [1e-5, 5e-4]
+        formats = ("csv", "json", "svg")
+        config = dataclasses.replace(
+            parse_config(TINY_CONFIG), output_dir=str(tmp_path / "pooled"), formats=formats
+        )
+        assert cmd_sweep(config, q0_list) == 0
+        assert multiprocessing.active_children() == []
+        members, failures = sweep_q0(
+            config.scenario, q0_list, config.output_cadence, config.cfl
+        )
+        assert failures == {}
+        for label, history in zip(("1e-05", "0.0005"), members):
+            files = write_run_artifacts(tmp_path / "serial" / label, history, formats)
+            assert len(files) == 9
+            for path in files:
+                pooled = tmp_path / "pooled" / f"q0_{label}" / path.name
+                assert pooled.read_bytes() == path.read_bytes(), pooled
+
+    def test_dead_worker_is_a_member_failure(self, config_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lwrvsl.cli, "write_run_artifacts", _worker_dies)
+        out = tmp_path / "sweep"
+        argv = ["--config", str(config_file), "--out", str(out)]
+        rc = main(["sweep", *argv, "--q0", "5e-5", "--q0", "5e-4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sweep member q0=5e-05 failed" in err
+        assert "sweep member q0=0.0005 failed" in err
+        assert "Traceback" not in err
+        # no member was written, so neither are the combined files
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_other_worker_errors_propagate_after_the_pool_closes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lwrvsl.cli, "write_run_artifacts", _worker_raises)
+        config = dataclasses.replace(parse_config(TINY_CONFIG), output_dir=str(tmp_path))
+        with pytest.raises(RuntimeError, match="not a write failure"):
+            cmd_sweep(config, [5e-5, 5e-4])
+        assert multiprocessing.active_children() == []
 
     def test_empty_member_list_is_usage_error(self):
         # main maps the ValueError to exit 1, as test_bad_q0_is_config_error checks

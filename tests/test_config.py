@@ -120,6 +120,11 @@ class TestRejection:
         with pytest.raises(ConfigError, match="malformed"):
             parse_config("params: [unclosed\n")
 
+    def test_integer_literal_beyond_the_digit_limit(self):
+        # the YAML loader's int() conversion refuses more than 4,300 digits
+        with pytest.raises(ConfigError, match="^malformed config: Exceeds the limit"):
+            parse_config("control: {q0: 1" + "0" * 5000 + "}")
+
     def test_non_mapping_root(self):
         with pytest.raises(ConfigError, match="mapping"):
             parse_config("- a\n- b\n")
