@@ -31,11 +31,7 @@ from lwrvsl import (
     target_cars,
     time_to_target,
 )
-from lwrvsl.verify import (
-    linear_convergence_l1_errors,
-    linearization_gaps,
-    nonlinear_convergence_l1_errors,
-)
+from lwrvsl.verify import convergence_l1_errors, linearization_gaps
 
 TABLE_ARGS = (160.0, 115.0, 50.0, 2000.0, 120.0, 1.0)
 
@@ -143,8 +139,8 @@ class TestAcceptance:
 
     def test_first_order_l1_convergence(self):
         for name, errors in (
-            ("linear", linear_convergence_l1_errors((100, 200, 400))),
-            ("nonlinear", nonlinear_convergence_l1_errors()),
+            ("linear", convergence_l1_errors("linear", (100, 200, 400))),
+            ("nonlinear", convergence_l1_errors("nonlinear", (100, 200, 400))),
         ):
             ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
             for ratio in ratios:

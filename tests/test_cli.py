@@ -8,10 +8,12 @@ import os
 import pytest
 
 import lwrvsl.cli
+import lwrvsl.verify
 from lwrvsl.cli import cmd_sweep, main
 from lwrvsl.config import parse_config
 from lwrvsl.output import write_run_artifacts
 from lwrvsl.scenario import sweep_q0
+from lwrvsl.solvers import SolverError
 
 TINY_CONFIG = """\
 params:
@@ -367,3 +369,37 @@ class TestVerify:
             "PASS convergence-coarse",
             "PASS linearization",
         ]
+
+    @pytest.mark.parametrize("error", [SolverError, ValueError])
+    def test_a_check_that_raises_is_a_fail_line(self, monkeypatch, capsys, error):
+        # every run of the suite goes through run_simulation; the checks
+        # that make none still pass, and nothing escapes main
+        def abort(*args):
+            raise error("injected abort")
+
+        monkeypatch.setattr(lwrvsl.verify, "run_simulation", abort)
+        assert main(["verify"]) == 3
+        lines = [line for line in capsys.readouterr().out.splitlines() if line]
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS riccati-boundary",
+            "PASS riccati-residual",
+            "PASS riccati-oracle",
+            "PASS feedback-paths",
+            "FAIL conservation",
+            "FAIL convergence-linear",
+            "FAIL convergence-nonlinear",
+            "FAIL convergence-coarse",
+            "FAIL linearization",
+        ]
+        assert all(
+            f"measured=nan bound not reached [{error.__name__}: injected abort]" in line
+            for line in lines[4:]
+        )
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def abort(*args):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(lwrvsl.verify, "run_simulation", abort)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            main(["verify"])

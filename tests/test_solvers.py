@@ -1,6 +1,9 @@
-"""Finite-volume steppers: boundaries, the CFL step rule, upwind and Godunov."""
+"""Finite-volume steppers: boundaries, the CFL step rule, upwind and Godunov.
 
-import math
+Also verify's convergence studies, which run the steppers through the driver.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from lwrvsl import (
     godunov_interface_flux,
     make_grid,
     reference_scenario,
+    run_simulation,
     step_linear,
     step_nonlinear,
 )
@@ -283,48 +287,90 @@ class TestStepNonlinear:
             scenario_module._check_density(new_values, 0.0, 0.5, scenario)
 
 
+def _convergence_run(model, n_cells):
+    """The final absolute density of a convergence study's run, and its grid."""
+    scenario = dataclasses.replace(
+        reference_scenario(
+            model=model, control_enabled=False, n_cells=n_cells,
+            sim_time=verify.CONVERGENCE_TIME,
+        ),
+        bc_osc_amplitude=0.0,
+        bc_growth_rate=0.0,
+    )
+    history = run_simulation(scenario, verify.CONVERGENCE_TIME)
+    return absolute_density(history)[-1], scenario.grid
+
+
+def _documented_solution(model, z, t):
+    """rho(t, z) of the reference bump rho_0 + A sin(pi z / L) under rho(t, 0) = rho_0.
+
+    The values are the documented ones (README "Configuration"). Every
+    point carries the density of its characteristic foot z0, found by
+    bisection of z0 + c t = z on [0, z]: c = |V| = c(rho_0) on the linear
+    plant, c = c(rho(z0)) on the nonlinear one, with
+    c(rho) = b_0 u_max (1 - 2 rho / rho_max). Points behind the
+    characteristic from z = 0 carry rho_0.
+    """
+    rho_0, rho_max, u_max, length, amplitude = 0.05, 0.16, 115.0 / 3.6, 2000.0, 0.01
+
+    def bump(foot):
+        return rho_0 + amplitude * np.sin(np.pi * foot / length)
+
+    def speed(foot):
+        rho = np.full_like(foot, rho_0) if model == "linear" else bump(foot)
+        return u_max * (1.0 - 2.0 * rho / rho_max)
+
+    low, high = np.zeros_like(z), np.array(z, dtype=float)
+    for _ in range(80):
+        mid = 0.5 * (low + high)
+        ahead = mid + speed(mid) * t > z
+        high, low = np.where(ahead, mid, high), np.where(ahead, low, mid)
+    behind = z <= u_max * (1.0 - 2.0 * rho_0 / rho_max) * t
+    return np.where(behind, rho_0, bump(0.5 * (low + high)))
+
+
 class TestConvergenceStudies:
-    # each study refills one ghost buffer per grid; a fresh ghost-extended
-    # copy per step, as np.concatenate builds it, must give the same bits
+    # verify's convergence studies are the driver's open-loop runs scored
+    # against the documented solution, so a fault in the driver's step
+    # or initial data fails them
 
-    def test_linear_study_equals_a_fresh_copy_per_step(self):
-        problem = verify.default_problem()
-        speed = -problem.v_coef
-        final_time, amplitude = verify.LINEAR_FINAL_TIME, verify.LINEAR_AMPLITUDE
-        errors = []
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    def test_errors_are_the_driver_runs_against_the_documented_solution(self, model):
+        expected = []
         for n_cells in verify.CONVERGENCE_CELLS:
-            grid = make_grid(2000.0, n_cells)
-            n_steps = math.ceil(
-                final_time / stable_dt(grid.dz, speed, verify.CONVERGENCE_CFL)
-            )
-            state = verify._bump(grid.cell_centers, amplitude)
-            for _ in range(n_steps):
-                extended = np.concatenate(([0.0], state, state[-1:]))
-                state, _ = step_linear(
-                    grid, extended, np.zeros(n_cells + 1), problem, final_time / n_steps
-                )
-            exact = verify._bump(grid.cell_centers - speed * final_time, amplitude)
-            errors.append(float(np.sum(np.abs(state - exact)) * grid.dz))
-        studied = verify.linear_convergence_l1_errors(verify.CONVERGENCE_CELLS)
-        assert [e.hex() for e in studied] == [e.hex() for e in errors]
+            final, grid = _convergence_run(model, n_cells)
+            gap = final - _documented_solution(model, grid.cell_centers, verify.CONVERGENCE_TIME)
+            expected.append(float(np.sum(np.abs(gap)) * grid.dz))
+        studied = verify.convergence_l1_errors(model, verify.CONVERGENCE_CELLS)
+        assert studied == pytest.approx(expected, rel=1e-9)
 
-    def test_nonlinear_study_equals_a_fresh_copy_per_step(self):
-        final_time, amplitude = verify.NONLINEAR_FINAL_TIME, verify.NONLINEAR_AMPLITUDE
-        params = reference_scenario(sim_time=final_time).params
-        wave_bound = -verify.default_problem().v_coef
-        errors = []
-        for n_cells in verify.CONVERGENCE_CELLS:
-            grid = make_grid(2000.0, n_cells)
-            n_steps = math.ceil(
-                final_time / stable_dt(grid.dz, wave_bound, verify.CONVERGENCE_CFL)
-            )
-            state = params.rho_0 + verify._bump(grid.cell_centers, amplitude)
-            for _ in range(n_steps):
-                extended = np.concatenate(([params.rho_0], state, state[-1:]))
-                state, _ = step_nonlinear(
-                    grid, extended, np.ones(n_cells + 1), params, final_time / n_steps
-                )
-            exact = verify._nonlinear_exact(grid.cell_centers, final_time, amplitude, params)
-            errors.append(float(np.sum(np.abs(state - exact)) * grid.dz))
-        studied = verify.nonlinear_convergence_l1_errors()
-        assert [e.hex() for e in studied] == [e.hex() for e in errors]
+    @pytest.mark.parametrize(
+        "model, stepper",
+        [("linear", "step_linear"), ("nonlinear", "step_nonlinear")],
+    )
+    def test_a_half_length_step_fails_its_plant_check(self, monkeypatch, model, stepper):
+        # the driver advances its clock by dt but integrates only dt / 2, an
+        # O(1) time lag that no refinement removes: the ratios fall to ~1
+        original = getattr(scenario_module, stepper)
+        monkeypatch.setattr(
+            scenario_module, stepper,
+            lambda grid, extended, control, coefs, dt: original(
+                grid, extended, control, coefs, 0.5 * dt
+            ),
+        )
+        result = getattr(verify, f"check_convergence_{model}")()
+        assert not result.passed
+        assert 0.95 < result.measured < 1.05, result.detail
+
+    def test_a_scaled_initial_bump_fails_the_linear_check(self, monkeypatch):
+        # the exact solution comes from the documented bump, not from
+        # initial_condition, so a driver whose bump is 10% too tall fails
+        original = scenario_module.initial_condition
+
+        def taller(z, scenario):
+            rho_0 = scenario.params.rho_0
+            return rho_0 + 1.1 * (original(z, scenario) - rho_0)
+
+        monkeypatch.setattr(scenario_module, "initial_condition", taller)
+        result = verify.check_convergence_linear()
+        assert not result.passed, result.detail
