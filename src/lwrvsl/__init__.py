@@ -39,7 +39,6 @@ from .scenario import (
     REFERENCE_Q0_VALUES,
     Scenario,
     SimulationHistory,
-    absolute_density,
     initial_condition,
     reference_scenario,
     run_simulation,
@@ -72,7 +71,6 @@ __all__ = [
     "SimulationHistory",
     "SolverError",
     "TrafficParams",
-    "absolute_density",
     "apply_boundary",
     "assemble_problem",
     "characteristic_speed",

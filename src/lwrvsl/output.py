@@ -23,7 +23,6 @@ from .riccati import assemble_problem, feedback_gain, phi_closed_form
 from .scenario import (
     Scenario,
     SimulationHistory,
-    absolute_density,
     mass_balance_defect,
     q0_label,
     q0_members,
@@ -92,8 +91,7 @@ def run_summary(history: SimulationHistory) -> dict:
     """Stable-keyed summary of one run, in road units."""
     scenario = history.scenario
     p = scenario.params
-    absolute = absolute_density(history)
-    low, high = float(absolute.min()), float(absolute.max())
+    low, high = float(history.density_frames.min()), float(history.density_frames.max())
     target = target_cars(p)
     summary = {
         "model": scenario.model,
@@ -335,17 +333,17 @@ def write_run_artifacts(
 ) -> list[Path]:
     """Write the per-run file set; on failure remove partial files.
 
-    The speed per cell is b u_max (1 - rho/rho_max), with b averaged from
-    the two interfaces of the cell. The density and speed matrices are
-    built only for the csv and svg formats, which write them.
+    The density is the recorded one, absolute on both plants. The speed
+    per cell is b u_max (1 - rho/rho_max), with b averaged from the two
+    interfaces of the cell. The density and speed matrices in road units
+    are built only for the csv and svg formats, which write them.
     """
     grid = history.scenario.grid
     vsl = history.vsl_frames
     if "csv" in formats or "svg" in formats:
-        absolute = absolute_density(history)
-        density = absolute * M_PER_KM
+        density = history.density_frames * M_PER_KM
         b_cells = 0.5 * (vsl[:, :-1] + vsl[:, 1:])
-        speed = vsl_speed(absolute, b_cells, history.scenario.params) * KMH_PER_MPS
+        speed = vsl_speed(history.density_frames, b_cells, history.scenario.params) * KMH_PER_MPS
 
     with _artifact_set(out_dir) as (written, reserve):
         if "csv" in formats:

@@ -15,7 +15,8 @@ control alone. The run's RiccatiProblem is the LQ design model and, on
 the linear plant, the plant itself: step_linear reads V and B0 from it.
 The nonlinear plant reuses the linear feedback law on its live
 perturbation rho - rho_0. The plant is chosen once per run: its state is
-rho - base (base = rho_0 on the linear plant, 0 on the nonlinear one).
+rho - base (base = rho_0 on the linear plant, 0 on the nonlinear one),
+and its record is rho on both plants.
 
 Scenario validates a run's inputs once, at entry, and derives the grid
 from n_cells; q0_members does the same for a list of q0 values.
@@ -132,18 +133,16 @@ class SimulationHistory:
     """Time-indexed record of one run, sampled at the output cadence.
 
     Each frame set is a read-only 2-D array with one row per entry of
-    times. density_frames, of shape (frames, cells), hold the plant's
-    native kind, cars/m per cell: the perturbation rho - rho_0 for the
-    linear model, the absolute density for the nonlinear one
-    (absolute_density converts them). vsl_frames hold the dimensionless b
-    and control_frames db/dz, both of shape (frames, cells + 1), one
-    column per interface; the writer derives the speed from density and
-    b. inflow_cars and outflow_cars accumulate the time-integrated
-    boundary interface fluxes of the solver. scenario, cfl and
-    frame_interval are the inputs run_simulation was given, so the record
-    alone says which run it holds. The frame matrices and the scenario
-    are left out of the repr, which would otherwise print every cell of
-    every frame.
+    times. density_frames, of shape (frames, cells), hold the absolute
+    density rho in cars/m per cell on both plants. vsl_frames hold the
+    dimensionless b and control_frames db/dz, both of shape (frames,
+    cells + 1), one column per interface; the writer derives the speed
+    from density and b. inflow_cars and outflow_cars accumulate the
+    time-integrated boundary interface fluxes of the solver. scenario,
+    cfl and frame_interval are the inputs run_simulation was given, so
+    the record alone says which run it holds. The frame matrices and the
+    scenario are left out of the repr, which would otherwise print every
+    cell of every frame.
     """
 
     times: np.ndarray
@@ -245,17 +244,6 @@ def total_cars(rho: np.ndarray, grid: Grid1D) -> float:
     return float(np.sum(rho) * grid.dz)
 
 
-def absolute_density(history: SimulationHistory) -> np.ndarray:
-    """The run's absolute density in cars/m, one row per frame.
-
-    Linear runs record rho - rho_0, so their frames are shifted by rho_0;
-    nonlinear runs return the stored, read-only matrix.
-    """
-    if history.scenario.model == "linear":
-        return history.density_frames + history.scenario.params.rho_0
-    return history.density_frames
-
-
 def target_cars(params: TrafficParams) -> float:
     """The regulation target: the equilibrium car count rho_0 * L."""
     return params.rho_0 * params.road_length
@@ -324,7 +312,7 @@ def run_simulation(
     require_positive("frame_interval", frame_interval)
     p = scenario.params
     grid = scenario.grid
-    # the list below holds 1 + ceil((T - 1e-9) / frame_interval) instants
+    # the list below holds max(2, 1 + ceil((T - 1e-9) / frame_interval)) instants
     if (p.sim_time - 1e-9) / frame_interval > MAX_FRAME_VALUES // (grid.n_cells + 1) - 1:
         raise ValueError(
             f"frame_interval={frame_interval} s over sim_time={p.sim_time} s on n_cells="
@@ -351,7 +339,7 @@ def run_simulation(
 
     # the frame instants: 0, then min(k * frame_interval, T) until T is reached
     times = [0.0]
-    while times[-1] < p.sim_time - 1e-9:
+    while len(times) == 1 or times[-1] < p.sim_time - 1e-9:
         times.append(min(len(times) * frame_interval, p.sim_time))
     n_frames = len(times)
     density_frames = np.empty((n_frames, grid.n_cells))
@@ -383,10 +371,10 @@ def run_simulation(
             u_opt = control(state)
             if not linear or at_frame:
                 b_profile = vsl_profile(u_opt)
-        density_frames[row] = state
+        np.add(state, base, out=density_frames[row])
         vsl_frames[row] = b_profile
         control_frames[row] = u_opt
-        totals[row] = total_cars(state + base, grid)
+        totals[row] = total_cars(density_frames[row], grid)
     return SimulationHistory(
         times=np.array(times),
         density_frames=density_frames,

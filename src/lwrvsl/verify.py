@@ -41,7 +41,6 @@ from .scenario import (
     REFERENCE_Q0,
     REFERENCE_Q0_VALUES,
     Scenario,
-    absolute_density,
     initial_condition,
     mass_balance_defect,
     q0_label,
@@ -183,7 +182,7 @@ def check_conservation() -> CheckResult:
 
 def _final_density(scenario: Scenario) -> np.ndarray:
     """Absolute density at the end of the scenario's run, recorded only there."""
-    return absolute_density(run_simulation(scenario, scenario.params.sim_time))[-1]
+    return run_simulation(scenario, scenario.params.sim_time).density_frames[-1]
 
 
 def _exact_density(z: np.ndarray, scenario: Scenario) -> np.ndarray:

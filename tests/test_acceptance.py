@@ -17,7 +17,6 @@ import pytest
 
 from lwrvsl import (
     REFERENCE_Q0_VALUES,
-    absolute_density,
     assemble_problem,
     control_field,
     control_field_explicit,
@@ -210,7 +209,7 @@ class TestAcceptance:
     ):
         runs = [*linear_sweep, *nonlinear_sweep, linear_baseline, nonlinear_baseline]
         for history in runs:
-            peak = float(absolute_density(history).max())
+            peak = float(history.density_frames.max())
             assert peak * 1000.0 < 80.0, f"peak density {peak * 1000.0:.3f} cars/km"
 
     def test_zero_perturbation_and_control_off_invariance(self):

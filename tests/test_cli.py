@@ -207,6 +207,17 @@ class TestSweep:
             assert member["cfl"] == config.cfl
             assert member["output_cadence_s"] == config.output_cadence == 2.0
 
+    def test_run_within_the_frame_tolerance_plots_its_end(self, tmp_path):
+        # a sim_time below the 1e-9 s frame tolerance still records a frame at its
+        # end, so the combined plot's time span is not zero
+        path = tmp_path / "short.yaml"
+        path.write_text(TINY_CONFIG.replace("sim_time_s: 6", "sim_time_s: 1.0e-10"))
+        out = tmp_path / "sweep"
+        argv = ["--config", str(path), "--out", str(out), "--formats", "svg,json"]
+        assert main(["sweep", *argv, "--q0", "1e-5", "--q0", "5e-4"]) == 0
+        assert "nan" not in (out / "total_cars_sweep.svg").read_text()
+        assert json.loads((out / "q0_1e-05" / "summary.json").read_text())["frames"] == 2
+
     def test_default_members(self, config_file, tmp_path):
         out = tmp_path / "sweep"
         rc = main(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lwrvsl import (
-    absolute_density,
     assemble_problem,
     feedback_gain,
     phi_closed_form,
@@ -205,7 +204,7 @@ class TestSvgWriters:
         rng = np.random.default_rng(7)
         if case == "nonlinear_history":
             history = nonlinear_run
-            matrix = absolute_density(history) * 1000.0
+            matrix = history.density_frames * 1000.0
         elif case == "stride_2_by_3":
             matrix = rng.normal(50.0, 5.0, (479, 719))
         elif case == "stride_3_by_4":
@@ -279,7 +278,7 @@ class TestRunArtifacts:
         assert len(lines) == 1 + len(history.times)
         first_row = [float(cell) for cell in lines[1].split(",")]
         assert first_row[0] == 0.0
-        expected = absolute_density(history)[0] * 1000.0
+        expected = history.density_frames[0] * 1000.0
         assert np.array_equal(np.array(first_row[1:]), expected)
 
     def test_speed_csv_contents(self, nonlinear_run, tmp_path):

@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 import lwrvsl.scenario as scenario_module
 from lwrvsl import verify
 from lwrvsl import (
-    SimulationHistory,
     SolverError,
     TrafficParams,
-    absolute_density,
     apply_boundary,
     assemble_problem,
     flux,
@@ -68,39 +66,6 @@ def _reference_godunov_flux(rho_left, rho_right, b_interface, params):
     demand = flux(np.minimum(rho_left, RHO_C), b_interface, params)
     supply = flux(np.maximum(rho_right, RHO_C), b_interface, params)
     return np.minimum(demand, supply)
-
-
-def _frames_history(frames, scenario):
-    n = len(frames)
-    zeros = np.zeros(len(frames[0]) + 1)
-    return SimulationHistory(
-        times=np.arange(n, dtype=float),
-        density_frames=tuple(frames),
-        vsl_frames=(zeros,) * n,
-        control_frames=(zeros,) * n,
-        total_cars_series=np.zeros(n),
-        inflow_cars=0.0,
-        outflow_cars=0.0,
-        scenario=scenario,
-        cfl=0.9,
-        frame_interval=1.0,
-    )
-
-
-class TestToAbsolute:
-    def test_shifts_perturbations(self):
-        scenario = reference_scenario(model="linear")
-        frames = (np.array([0.01, -0.01]), np.array([0.0, 0.02]))
-        absolute = absolute_density(_frames_history(frames, scenario))
-        assert absolute.shape == (2, 2)
-        for row, frame in zip(absolute, frames):
-            assert np.array_equal(row, frame + scenario.params.rho_0)
-
-    def test_absolute_passes_through(self):
-        scenario = reference_scenario(model="nonlinear")
-        frames = (np.array([0.05, 0.04]), np.array([0.06, 0.05]))
-        absolute = absolute_density(_frames_history(frames, scenario))
-        assert np.array_equal(absolute, np.stack(frames))
 
 
 class TestApplyBoundary:
@@ -298,7 +263,7 @@ def _convergence_run(model, n_cells):
         bc_growth_rate=0.0,
     )
     history = run_simulation(scenario, verify.CONVERGENCE_TIME)
-    return absolute_density(history)[-1], scenario.grid
+    return history.density_frames[-1], scenario.grid
 
 
 def _documented_solution(model, z, t):
