@@ -3,22 +3,33 @@
 Exit codes: 0 success, 1 usage or configuration error, 2 solver abort,
 artifact write failure or a sweep writer process that died, 3
 verification failure.
+
+sweep runs its members one after another in this process and forks one
+writer process per member as its run returns; the writer inherits the
+member's history, so nothing is pickled, and this process keeps only the
+member's car-count series for the combined files.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import dataclasses
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from pathlib import Path
+
+import numpy as np
 
 from .config import FORMATS, ConfigError, RunConfig, parse_config
 from .output import write_riccati_artifacts, write_run_artifacts, write_sweep_artifacts
-from .scenario import MODELS, REFERENCE_Q0_VALUES, q0_label, run_simulation, sweep_q0
+from .scenario import (
+    MODELS, REFERENCE_Q0_VALUES, Scenario, SimulationHistory, run_simulation, sweep_q0,
+)
 from .solvers import SolverError
 from .verify import run_all_checks
 
@@ -98,37 +109,91 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig, q0_list: list[float]) -> int:
-    """Run the members through sweep_q0 and write their artifacts.
+def _write_member(
+    sender: Connection, out_dir: Path, history: SimulationHistory, formats: tuple[str, ...]
+) -> None:
+    """A sweep writer process: send None once the member is written, else the exception."""
+    try:
+        write_run_artifacts(out_dir, history, formats)
+    except Exception as exc:  # the parent decides which ones fail only this member
+        sender.send(exc)
+    else:
+        sender.send(None)
 
-    The runs stay in this process. Each member's files are written by a
-    pool of min(members, usable CPUs) workers forked from it, and the
-    pool is joined before the combined files are written here from the
-    members that were written. A failed run, a failed member write and a
-    worker that died are reported and left out; the others are kept. A
-    bad q0 list and a failed write of the combined files raise, for main.
+
+def cmd_sweep(config: RunConfig, q0_list: list[float]) -> int:
+    """Run the members through sweep_q0, forking each one's writer as its run returns.
+
+    The runs stay in this process. As a run returns, a writer process is
+    forked for it: it inherits the history and writes the member's files,
+    and this process drops the frame matrices, keeping the scenario and
+    the car-count series that the combined files read. At most one
+    writer per usable CPU is alive: the oldest is reaped before the next
+    is forked, and every one is reaped before cmd_sweep returns or
+    raises. The combined files are then written here from the members
+    that were written. A failed run, a failed member write and a writer
+    that died fail only their own member, which is reported and left
+    out. A bad q0 list raises before any run or fork; any other error,
+    in a writer or here, and a failed write of the combined files raise,
+    for main.
     """
-    members, failures = sweep_q0(config.scenario, q0_list, config.output_cadence, config.cfl)
     out = Path(config.output_dir)
-    labels = [q0_label(history.scenario.q0) for history in members]
-    written = []
-    # a pool that is given no job forks no worker
-    workers = max(1, min(len(members), len(os.sched_getaffinity(0))))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        jobs = [
-            pool.submit(write_run_artifacts, out / f"q0_{label}", history, config.formats)
-            for label, history in zip(labels, members)
-        ]
-        for label, history, job in zip(labels, members, jobs):
-            try:
-                job.result()
-                written.append(history)
-            except (OSError, BrokenProcessPool) as exc:
-                failures[label] = str(exc)
+    fork = multiprocessing.get_context("fork")
+    limit = len(os.sched_getaffinity(0))
+    # per member, in sweep order: its failure message, or what the combined files read
+    members: dict[str, str | tuple[Scenario, np.ndarray]] = {}
+    # the live writers, (label, process, receiver), oldest first
+    writers: collections.deque[tuple[str, BaseProcess, Connection]] = collections.deque()
+    times = None
+
+    def reap_oldest() -> None:
+        # an OSError in the writer, or its death, fails its member alone
+        label, process, receiver = writers.popleft()
+        try:
+            with receiver:
+                error = receiver.recv()
+        except EOFError:  # the writer exited before it reported
+            process.join()
+            error = ChildProcessError(f"writer process died with exit code {process.exitcode}")
+        finally:
+            process.join()
+        if isinstance(error, OSError):
+            members[label] = str(error)
+        elif error is not None:
+            raise error
+
+    try:
+        for label, outcome in sweep_q0(
+            config.scenario, q0_list, config.output_cadence, config.cfl
+        ):
+            if isinstance(outcome, str):
+                members[label] = outcome
+                continue
+            if len(writers) == limit:
+                reap_oldest()
+            receiver, sender = fork.Pipe(duplex=False)
+            process = fork.Process(
+                target=_write_member,
+                args=(sender, out / f"q0_{label}", outcome, config.formats),
+            )
+            process.start()  # the Process object lets go of its args once started
+            sender.close()
+            writers.append((label, process, receiver))
+            times = outcome.times
+            members[label] = (outcome.scenario, outcome.total_cars_series)
+            del outcome  # the writer has the frames; free them before the next run
+        while writers:
+            reap_oldest()
+    finally:
+        while writers:  # left only when an error is on its way out
+            with contextlib.suppress(Exception):
+                reap_oldest()
+    failures = {label: m for label, m in members.items() if isinstance(m, str)}
     for label, message in failures.items():
         print(f"sweep member q0={label} failed: {message}", file=sys.stderr)
+    written = [m for m in members.values() if not isinstance(m, str)]
     if written:
-        write_sweep_artifacts(out, written, failures, config.formats)
+        write_sweep_artifacts(out, times, written, failures, config.formats)
     return EXIT_SOLVER if failures else EXIT_OK
 
 

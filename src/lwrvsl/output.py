@@ -124,7 +124,7 @@ def run_summary(history: SimulationHistory) -> dict:
         "final_total_cars": float(history.total_cars_series[-1]),
         "min_density_per_km": low * M_PER_KM,
         "max_density_per_km": high * M_PER_KM,
-        "time_to_target_s": time_to_target(history, target),
+        "time_to_target_s": time_to_target(history.times, history.total_cars_series, target),
     }
     if scenario.model == "nonlinear":
         defect, relative = mass_balance_defect(history)
@@ -377,34 +377,37 @@ def write_run_artifacts(
 
 def write_sweep_artifacts(
     out_dir: Path | str,
-    members: list[SimulationHistory],
+    times: np.ndarray,
+    members: list[tuple[Scenario, np.ndarray]],
     failures: dict[str, str],
     formats: tuple[str, ...],
 ) -> list[Path]:
     """The combined sweep files over the member runs; on failure remove partial files.
 
-    The members differ only in q0. failures maps the q0 label of each
-    member left out to its message.
+    members holds (scenario, total_cars_series) per member written, in
+    sweep order; the scenarios differ only in q0, and every series has
+    one total per entry of the shared times. failures maps the q0 label
+    of each member left out to its message.
     """
-    times = members[0].times
-    target = target_cars(members[0].scenario.params)
-    by_label = {q0_label(m.scenario.q0): m for m in members}
+    target = target_cars(members[0][0].params)
+    by_label = {q0_label(scenario.q0): series for scenario, series in members}
     with _artifact_set(out_dir) as (written, reserve):
         if "csv" in formats:
             write_wide_csv(
                 reserve("total_cars_sweep.csv"),
                 ["t_s", *(f"total_cars[q0={label}]" for label in by_label)],
-                np.column_stack((times, *(m.total_cars_series for m in members))),
+                np.column_stack((times, *by_label.values())),
             )
         if "json" in formats:
             payload = {
-                "q0_values": [m.scenario.q0 for m in members],
+                "q0_values": [scenario.q0 for scenario, _ in members],
                 "target_cars": target,
                 "final_total_cars": {
-                    label: float(m.total_cars_series[-1]) for label, m in by_label.items()
+                    label: float(series[-1]) for label, series in by_label.items()
                 },
                 "time_to_target_s": {
-                    label: time_to_target(m, target) for label, m in by_label.items()
+                    label: time_to_target(times, series, target)
+                    for label, series in by_label.items()
                 },
                 "failures": failures,
             }
@@ -412,7 +415,7 @@ def write_sweep_artifacts(
         if "svg" in formats:
             svg_lineplot(
                 reserve("total_cars_sweep.svg"), times,
-                [(f"q0={label}", m.total_cars_series) for label, m in by_label.items()],
+                [(f"q0={label}", series) for label, series in by_label.items()],
                 title="Total cars on the road section", x_label="t [s]", y_label="total cars",
             )
     return written

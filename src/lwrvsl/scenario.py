@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,20 +250,21 @@ def target_cars(params: TrafficParams) -> float:
     return params.rho_0 * params.road_length
 
 
-def time_to_target(history: SimulationHistory, target: float) -> float | None:
-    """First recorded time from which total cars stays within TARGET_TOLERANCE*target.
+def time_to_target(times: np.ndarray, series: np.ndarray, target: float) -> float | None:
+    """First of times from which the car-count series stays within TARGET_TOLERANCE*target.
 
-    Returns None when the series never settles into the band through the
-    end of the run.
+    series holds one total per entry of times, as a run's
+    total_cars_series does. Returns None when the series never settles
+    into the band through the end of the run.
     """
-    within = np.abs(history.total_cars_series - target) <= TARGET_TOLERANCE * target
+    within = np.abs(series - target) <= TARGET_TOLERANCE * target
     if bool(within.all()):
-        return float(history.times[0])
+        return float(times[0])
     bad = np.flatnonzero(~within)
     last_bad = int(bad[-1])
     if last_bad == within.size - 1:
         return None
-    return float(history.times[last_bad + 1])
+    return float(times[last_bad + 1])
 
 
 def mass_balance_defect(history: SimulationHistory) -> tuple[float, float]:
@@ -410,24 +412,29 @@ def q0_members(scenario: Scenario, q0_list: list[float]) -> list[Scenario]:
     return members
 
 
+def _run_member(member: Scenario, frame_interval: float, cfl: float) -> SimulationHistory | str:
+    """One sweep member's outcome: its history, or the message of its run's abort."""
+    try:
+        return run_simulation(member, frame_interval, cfl)
+    except (SolverError, ValueError) as exc:
+        return str(exc)
+
+
 def sweep_q0(
     scenario: Scenario,
     q0_list: list[float],
     frame_interval: float = REFERENCE_CADENCE,
     cfl: float = REFERENCE_CFL,
-) -> tuple[list[SimulationHistory], dict[str, str]]:
-    """Run one simulation per q0, identical otherwise.
+) -> Iterator[tuple[str, SimulationHistory | str]]:
+    """Run one simulation per q0, identical otherwise, yielding each as it returns.
 
-    q0_members checks the list before any run starts. A member whose run
-    raises SolverError or ValueError is recorded under its q0_label with
-    its message, and the other members run as before. Returns the
-    histories of the members that ran, in list order, and the failures.
+    q0_members checks the list when sweep_q0 is called, before any run
+    starts. Each member runs when the iterator is advanced to it; it
+    yields (q0_label, outcome) per member, in list order. The outcome is
+    the member's SimulationHistory, or the message of the SolverError or
+    ValueError its run raised, and the other members run as before.
+    Nothing here keeps a yielded history, so a caller that drops it frees
+    its frame matrices before the next member runs.
     """
-    histories = []
-    failures: dict[str, str] = {}
-    for member in q0_members(scenario, q0_list):
-        try:
-            histories.append(run_simulation(member, frame_interval, cfl))
-        except (SolverError, ValueError) as exc:
-            failures[q0_label(member.q0)] = str(exc)
-    return histories, failures
+    members = q0_members(scenario, q0_list)
+    return ((q0_label(m.q0), _run_member(m, frame_interval, cfl)) for m in members)

@@ -9,6 +9,7 @@ import pytest
 
 from lwrvsl import (
     REFERENCE_Q0_VALUES,
+    SimulationHistory,
     reference_scenario,
     run_simulation,
     sweep_q0,
@@ -16,8 +17,9 @@ from lwrvsl import (
 
 
 def _reference_sweep(model):
-    members, failures = sweep_q0(reference_scenario(model=model), list(REFERENCE_Q0_VALUES))
-    assert failures == {}
+    outcomes = dict(sweep_q0(reference_scenario(model=model), list(REFERENCE_Q0_VALUES)))
+    members = list(outcomes.values())
+    assert all(isinstance(m, SimulationHistory) for m in members), outcomes
     return members
 
 

@@ -168,19 +168,16 @@ class TestAcceptance:
         # band is required no later than the exact solution enters it.
         history = _member(linear_sweep, 5e-4)
         target = target_cars(reference_scenario().params)
-        exact = dataclasses.replace(
-            history,
-            total_cars_series=_exact_linear_total_cars(history.scenario.q0, history.times),
-        )
-        entry = time_to_target(history, target)
-        exact_entry = time_to_target(exact, target)
+        exact = _exact_linear_total_cars(history.scenario.q0, history.times)
+        entry = time_to_target(history.times, history.total_cars_series, target)
+        exact_entry = time_to_target(history.times, exact, target)
         at_40 = np.searchsorted(history.times, 40.0)
         assert entry is not None and entry <= exact_entry, (
             f"count must stay within 5% of {target:g} cars from t={exact_entry} s on, "
             f"when the exact closed loop enters the band; simulated entry "
             f"{entry} s; at t=40 s simulated "
             f"{float(history.total_cars_series[at_40]):.4f} cars, exact "
-            f"{float(exact.total_cars_series[at_40]):.4f} cars"
+            f"{float(exact[at_40]):.4f} cars"
         )
 
     def test_final_cars_ordering_in_q0_and_model(self, linear_sweep, nonlinear_sweep):

@@ -159,13 +159,13 @@ def test_writer_byte_counters_match_the_files(bench, tmp_path):
         "lwrvsl", {name: targets[name] for name in traced}, bench.LAYER_COUNTERS
     )
     scenario = reference_scenario(model="nonlinear", n_cells=16, sim_time=4.0)
-    members, failures = sweep_q0(scenario, [1e-5, 5e-4])
-    assert failures == {}
+    members = [m for _, m in sweep_q0(scenario, [1e-5, 5e-4])]
+    series = [(m.scenario, m.total_cars_series) for m in members]
     formats = ("csv", "json", "svg")
 
     def write_all():
         return write_run_artifacts(tmp_path / "run", members[0], formats) + (
-            write_sweep_artifacts(tmp_path / "sweep", members, {}, formats)
+            write_sweep_artifacts(tmp_path / "sweep", members[0].times, series, {}, formats)
         )
 
     files = tracer.run_op(write_all)

@@ -4,15 +4,17 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import tracemalloc
 
 import pytest
 
 import lwrvsl.cli
+import lwrvsl.scenario
 import lwrvsl.verify
 from lwrvsl.cli import cmd_sweep, main
 from lwrvsl.config import parse_config
-from lwrvsl.output import write_run_artifacts
-from lwrvsl.scenario import sweep_q0
+from lwrvsl.output import write_run_artifacts, write_sweep_artifacts
+from lwrvsl.scenario import REFERENCE_Q0_VALUES, SimulationHistory, run_simulation, sweep_q0
 from lwrvsl.solvers import SolverError
 
 TINY_CONFIG = """\
@@ -32,9 +34,22 @@ def config_file(tmp_path):
     return path
 
 
-# writer stand-ins for the sweep's worker pool; module-level, so that they pickle
+RUN_FILES = {
+    "density.csv", "speed.csv", "vsl.csv", "control.csv", "total_cars.csv",
+    "summary.json", "density.svg", "speed.svg", "vsl.svg",
+}
+SWEEP_FILES = ("total_cars_sweep.csv", "sweep_summary.json", "total_cars_sweep.svg")
+
+
+# writer stand-ins; each runs in a sweep writer process forked from the test
 def _worker_dies(out_dir, history, formats):
     os._exit(1)
+
+
+def _worker_dies_for_first_reference_member(out_dir, history, formats):
+    if out_dir.name == "q0_1e-06":
+        os._exit(1)
+    return write_run_artifacts(out_dir, history, formats)
 
 
 def _worker_raises(out_dir, history, formats):
@@ -277,16 +292,17 @@ class TestSweep:
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert list(summary["failures"]) == ["5e-05"]
         assert summary["q0_values"] == [5e-4]
-        survivor = {p.name for p in (out / "q0_0.0005").iterdir()}
-        assert survivor == {
-            "density.csv", "speed.csv", "vsl.csv", "control.csv", "total_cars.csv",
-            "summary.json", "density.svg", "speed.svg", "vsl.svg",
-        }
+        assert {p.name for p in (out / "q0_0.0005").iterdir()} == RUN_FILES
         header = (out / "total_cars_sweep.csv").read_text().splitlines()[0]
         assert header == "t_s,total_cars[q0=0.0005]"
         assert multiprocessing.active_children() == []
 
-    def test_pooled_files_equal_in_process_writes(self, tmp_path):
+    def test_pooled_files_equal_in_process_writes(self, tmp_path, monkeypatch):
+        # the writers inherit each history: one that had to be pickled would raise
+        def no_pickling(self, protocol):
+            raise AssertionError("a SimulationHistory was pickled")
+
+        monkeypatch.setattr(SimulationHistory, "__reduce_ex__", no_pickling)
         q0_list = [1e-5, 5e-4]
         formats = ("csv", "json", "svg")
         config = dataclasses.replace(
@@ -294,16 +310,20 @@ class TestSweep:
         )
         assert cmd_sweep(config, q0_list) == 0
         assert multiprocessing.active_children() == []
-        members, failures = sweep_q0(
-            config.scenario, q0_list, config.output_cadence, config.cfl
-        )
-        assert failures == {}
-        for label, history in zip(("1e-05", "0.0005"), members):
-            files = write_run_artifacts(tmp_path / "serial" / label, history, formats)
+        members = dict(sweep_q0(config.scenario, q0_list, config.output_cadence, config.cfl))
+        assert list(members) == ["1e-05", "0.0005"]
+        pairs = []
+        for label, history in members.items():
+            files = write_run_artifacts(tmp_path / "serial" / f"q0_{label}", history, formats)
             assert len(files) == 9
-            for path in files:
-                pooled = tmp_path / "pooled" / f"q0_{label}" / path.name
-                assert pooled.read_bytes() == path.read_bytes(), pooled
+            pairs += [(path, tmp_path / "pooled" / f"q0_{label}" / path.name) for path in files]
+        series = [(m.scenario, m.total_cars_series) for m in members.values()]
+        times = members["1e-05"].times
+        files = write_sweep_artifacts(tmp_path / "serial", times, series, {}, formats)
+        assert [path.name for path in files] == list(SWEEP_FILES)
+        pairs += [(path, tmp_path / "pooled" / path.name) for path in files]
+        for serial, pooled in pairs:
+            assert pooled.read_bytes() == serial.read_bytes(), pooled
 
     def test_dead_worker_is_a_member_failure(self, config_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(lwrvsl.cli, "write_run_artifacts", _worker_dies)
@@ -312,12 +332,75 @@ class TestSweep:
         rc = main(["sweep", *argv, "--q0", "5e-5", "--q0", "5e-4"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "sweep member q0=5e-05 failed" in err
-        assert "sweep member q0=0.0005 failed" in err
+        assert "sweep member q0=5e-05 failed: writer process died with exit code 1" in err
+        assert "sweep member q0=0.0005 failed: writer process died with exit code 1" in err
         assert "Traceback" not in err
         # no member was written, so neither are the combined files
         assert not out.exists()
         assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_only_its_member(self, config_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            lwrvsl.cli, "write_run_artifacts", _worker_dies_for_first_reference_member
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "sweep member q0=1e-06 failed: writer process died with exit code 1\n"
+        assert multiprocessing.active_children() == []
+        for label in ("1e-05", "5e-05", "0.0005"):
+            assert {p.name for p in (out / f"q0_{label}").iterdir()} == RUN_FILES
+        assert not (out / "q0_1e-06").exists()
+        assert all((out / name).is_file() for name in SWEEP_FILES)
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["q0_values"] == [1e-5, 5e-5, 5e-4]
+        assert list(summary["failures"]) == ["1e-06"]
+
+    def test_parent_error_reaps_the_writers(self, tmp_path, monkeypatch):
+        # the third run raises in this process; the writers forked for the
+        # first two finish their files and are reaped before the error leaves
+        runs = []
+        run = lwrvsl.scenario.run_simulation
+
+        def third_run_fails(*args):
+            runs.append(args)
+            if len(runs) == 3:
+                raise RuntimeError("injected fault")
+            return run(*args)
+
+        monkeypatch.setattr(lwrvsl.scenario, "run_simulation", third_run_fails)
+        config = dataclasses.replace(parse_config(TINY_CONFIG), output_dir=str(tmp_path))
+        with pytest.raises(RuntimeError, match="injected fault"):
+            cmd_sweep(config, list(REFERENCE_Q0_VALUES))
+        assert multiprocessing.active_children() == []
+        assert len(runs) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q0_1e-05", "q0_1e-06"]
+        for label in ("1e-06", "1e-05"):
+            assert {p.name for p in (tmp_path / f"q0_{label}").iterdir()} == RUN_FILES
+        summary = json.loads((tmp_path / "q0_1e-05" / "summary.json").read_text())
+        assert summary["frames"] == 4
+
+    def test_parent_keeps_only_the_car_counts(self, tmp_path):
+        # each run's frame matrices are freed once its writer is forked, so the
+        # traced peak of this process stays below three members' frames
+        text = "params:\n  sim_time_s: 30\nnumerics:\n  n_cells: 100\n"
+        base = parse_config(text + "scenario:\n  model: nonlinear\n")
+        config = dataclasses.replace(base, output_dir=str(tmp_path))
+        history = run_simulation(config.scenario, config.output_cadence, config.cfl)
+        frame_bytes = sum(
+            frames.nbytes
+            for frames in (history.density_frames, history.vsl_frames, history.control_frames)
+        )
+        assert frame_bytes == 61 * 302 * 8
+        del history
+        tracemalloc.start()
+        try:
+            assert cmd_sweep(config, list(REFERENCE_Q0_VALUES)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert multiprocessing.active_children() == []
+        assert peak < 3 * frame_bytes, f"traced peak {peak} B, one member's frames {frame_bytes} B"
 
     def test_other_worker_errors_propagate_after_the_pool_closes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(lwrvsl.cli, "write_run_artifacts", _worker_raises)

@@ -341,8 +341,9 @@ class TestRunArtifacts:
 class TestSweepArtifacts:
     def test_total_cars_sweep_csv_reads_back_bitwise(self, tmp_path):
         scenario = reference_scenario(model="nonlinear", n_cells=16, sim_time=4.0)
-        members, failures = sweep_q0(scenario, [1e-5, 5e-4], frame_interval=1.0)
-        write_sweep_artifacts(tmp_path, members, failures, ("csv",))
+        members = [m for _, m in sweep_q0(scenario, [1e-5, 5e-4], frame_interval=1.0)]
+        series = [(m.scenario, m.total_cars_series) for m in members]
+        write_sweep_artifacts(tmp_path, members[0].times, series, {}, ("csv",))
         header, table = _read_table(tmp_path / "total_cars_sweep.csv")
         assert header == ["t_s", "total_cars[q0=1e-05]", "total_cars[q0=0.0005]"]
         assert table[:, 0].tobytes() == members[0].times.tobytes()

@@ -187,28 +187,25 @@ def _history(times, totals):
     )
 
 
+def _entry(times, totals):
+    return time_to_target(np.array(times), np.array(totals), 100.0)
+
+
 class TestTimeToTarget:
     def test_always_in_band(self):
-        history = _history([0.0, 1.0, 2.0], [100.0, 102.0, 99.0])
-        assert time_to_target(history, 100.0) == 0.0
+        assert _entry([0.0, 1.0, 2.0], [100.0, 102.0, 99.0]) == 0.0
 
     def test_never_in_band(self):
-        history = _history([0.0, 1.0, 2.0], [120.0, 119.0, 118.0])
-        assert time_to_target(history, 100.0) is None
+        assert _entry([0.0, 1.0, 2.0], [120.0, 119.0, 118.0]) is None
 
     def test_entry_time(self):
-        history = _history([0.0, 1.0, 2.0, 3.0], [120.0, 110.0, 104.0, 103.0])
-        assert time_to_target(history, 100.0) == 2.0
+        assert _entry([0.0, 1.0, 2.0, 3.0], [120.0, 110.0, 104.0, 103.0]) == 2.0
 
     def test_late_excursion_resets_the_clock(self):
-        history = _history(
-            [0.0, 1.0, 2.0, 3.0, 4.0], [104.0, 103.0, 111.0, 104.0, 103.0]
-        )
-        assert time_to_target(history, 100.0) == 3.0
+        assert _entry([0.0, 1.0, 2.0, 3.0, 4.0], [104.0, 103.0, 111.0, 104.0, 103.0]) == 3.0
 
     def test_out_of_band_final_frame_never_settles(self):
-        history = _history([0.0, 1.0, 2.0], [104.0, 103.0, 111.0])
-        assert time_to_target(history, 100.0) is None
+        assert _entry([0.0, 1.0, 2.0], [104.0, 103.0, 111.0]) is None
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="length"):
@@ -459,13 +456,13 @@ class TestRunSimulation:
 class TestSweep:
     def test_members_match_single_runs(self):
         scenario = _tiny()
-        sweep, failures = sweep_q0(scenario, [5e-5, 5e-4], frame_interval=2.0)
-        assert failures == {}
-        assert [m.scenario.q0 for m in sweep] == [5e-5, 5e-4]
+        sweep = dict(sweep_q0(scenario, [5e-5, 5e-4], frame_interval=2.0))
+        assert list(sweep) == ["5e-05", "0.0005"]
+        assert [m.scenario.q0 for m in sweep.values()] == [5e-5, 5e-4]
         single = run_simulation(
             dataclasses.replace(scenario, q0=5e-4), frame_interval=2.0
         )
-        member = sweep[1]
+        member = sweep["0.0005"]
         assert member.total_cars_series.tobytes() == single.total_cars_series.tobytes()
         assert member.total_cars_series[-1] == single.total_cars_series[-1]
 
@@ -480,15 +477,27 @@ class TestSweep:
         # q0 = 1000 drives the tiny run out of [0, rho_max]; the members
         # on either side of it must be bitwise equal to their solo runs
         scenario = _tiny()
-        sweep, failures = sweep_q0(scenario, [5e-5, 1000.0, 5e-4])
-        assert [m.scenario.q0 for m in sweep] == [5e-5, 5e-4]
-        assert list(failures) == ["1000"]
-        assert "left [0, rho_max]" in failures["1000"]
-        for member in sweep:
+        sweep = dict(sweep_q0(scenario, [5e-5, 1000.0, 5e-4]))
+        assert list(sweep) == ["5e-05", "1000", "0.0005"]
+        assert "left [0, rho_max]" in sweep.pop("1000")
+        for member in sweep.values():
             solo = run_simulation(dataclasses.replace(scenario, q0=member.scenario.q0))
             assert member.total_cars_series.tobytes() == (
                 solo.total_cars_series.tobytes()
             )
+
+    def test_members_run_as_the_iterator_advances(self, monkeypatch):
+        runs = []
+        run = scenario_module.run_simulation
+        monkeypatch.setattr(
+            scenario_module, "run_simulation", lambda *args: runs.append(args) or run(*args)
+        )
+        sweep = sweep_q0(_tiny(), [5e-5, 5e-4], frame_interval=2.0)
+        assert runs == []
+        label, first = next(sweep)
+        assert (label, first.scenario.q0, len(runs)) == ("5e-05", 5e-5, 1)
+        assert [label for label, _ in sweep] == ["0.0005"]
+        assert len(runs) == 2
 
     def test_bad_q0_rejected_before_any_run(self, monkeypatch):
         runs = []
