@@ -149,14 +149,16 @@ def cmd_sweep(config: RunConfig, q0_list: list[float]) -> int:
     def reap_oldest() -> None:
         # an OSError in the writer, or its death, fails its member alone
         label, process, receiver = writers.popleft()
+        died = False
         try:
             with receiver:
                 error = receiver.recv()
         except EOFError:  # the writer exited before it reported
-            process.join()
-            error = ChildProcessError(f"writer process died with exit code {process.exitcode}")
+            died = True
         finally:
             process.join()
+        if died:
+            error = ChildProcessError(f"writer process died with exit code {process.exitcode}")
         if isinstance(error, OSError):
             members[label] = str(error)
         elif error is not None:

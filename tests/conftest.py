@@ -7,13 +7,8 @@ they are shared across the acceptance tests.
 
 import pytest
 
-from lwrvsl import (
-    REFERENCE_Q0_VALUES,
-    SimulationHistory,
-    reference_scenario,
-    run_simulation,
-    sweep_q0,
-)
+from lwrvsl import reference_scenario, run_simulation
+from lwrvsl.scenario import REFERENCE_Q0_VALUES, SimulationHistory, sweep_q0
 
 
 def _reference_sweep(model):

@@ -16,20 +16,19 @@ import numpy as np
 import pytest
 
 from lwrvsl import (
-    REFERENCE_Q0_VALUES,
     assemble_problem,
+    feedback_gain,
+    params_from_paper_units,
+    reference_scenario,
+    run_simulation,
+)
+from lwrvsl.riccati import (
     control_field,
     control_field_explicit,
-    feedback_gain,
-    initial_condition,
-    reference_scenario,
-    params_from_paper_units,
     phi_closed_form,
     phi_numeric_oracle,
-    run_simulation,
-    target_cars,
-    time_to_target,
 )
+from lwrvsl.scenario import REFERENCE_Q0_VALUES, initial_condition, target_cars, time_to_target
 from lwrvsl.verify import convergence_l1_errors, linearization_gaps
 
 TABLE_ARGS = (160.0, 115.0, 50.0, 2000.0, 120.0, 1.0)

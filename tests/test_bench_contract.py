@@ -14,6 +14,7 @@ runs and one verify.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,8 +23,9 @@ import pytest
 import lwrvsl
 import lwrvsl.cli  # run.py resolves names on these submodules too
 import lwrvsl.verify
-from lwrvsl import reference_scenario, run_simulation, sweep_q0, write_run_artifacts
-from lwrvsl.output import write_sweep_artifacts
+from lwrvsl import reference_scenario, run_simulation
+from lwrvsl.output import write_run_artifacts, write_sweep_artifacts
+from lwrvsl.scenario import sweep_q0
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,6 +53,26 @@ def test_every_traced_name_resolves(bench):
     targets = bench.layer_targets(lwrvsl)
     assert len(targets) == len(bench.LAYER_FUNCTIONS)
     assert all(callable(fn) for fn in targets.values())
+
+
+def test_traced_names_resolve_in_a_fresh_process(bench):
+    # the bench imports lwrvsl, lwrvsl.cli and lwrvsl.verify and reaches every
+    # other module through them; this process has imported them all already
+    script = (
+        "import importlib.util, sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "spec = importlib.util.spec_from_file_location('perfbench_run', 'perfbench/run.py')\n"
+        "bench = importlib.util.module_from_spec(spec)\n"
+        "sys.modules[spec.name] = bench\n"
+        "spec.loader.exec_module(bench)\n"
+        "targets = bench.layer_targets(bench.import_package())\n"
+        "print(sum(callable(fn) for fn in targets.values()))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", script],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == f"{len(bench.LAYER_FUNCTIONS)}\n"
 
 
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])

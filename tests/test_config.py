@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import lwrvsl.cli as cli_module
 import lwrvsl.params as params_module
 import lwrvsl.scenario as scenario_module
-from lwrvsl import ConfigError, parse_config, reference_scenario
-from lwrvsl.config import _SCHEMA
+from lwrvsl import reference_scenario
+from lwrvsl.config import _SCHEMA, ConfigError, parse_config
 from lwrvsl.params import MAX_FRAME_VALUES, MAX_N_CELLS
 
 

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lwrvsl import (
-    TrafficParams,
+from lwrvsl.fundamental import (
     characteristic_speed,
     critical_density,
     equilibrium_speed,
     flux,
     vsl_speed,
 )
+from lwrvsl.params import TrafficParams
 
 PARAMS = TrafficParams(
     rho_max=0.16,

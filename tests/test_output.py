@@ -5,16 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lwrvsl import (
-    assemble_problem,
-    feedback_gain,
-    phi_closed_form,
-    reference_scenario,
-    run_simulation,
-    sweep_q0,
-    write_riccati_artifacts,
-    write_run_artifacts,
-)
+from lwrvsl import assemble_problem, feedback_gain, reference_scenario, run_simulation
 from lwrvsl import output as output_module
 from lwrvsl.output import (
     PALETTE,
@@ -23,9 +14,13 @@ from lwrvsl.output import (
     svg_heatmap,
     svg_lineplot,
     write_json,
+    write_riccati_artifacts,
+    write_run_artifacts,
     write_sweep_artifacts,
     write_wide_csv,
 )
+from lwrvsl.riccati import phi_closed_form
+from lwrvsl.scenario import sweep_q0
 
 
 @pytest.fixture(scope="module")

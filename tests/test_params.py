@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from lwrvsl import TrafficParams, make_grid, params_from_paper_units
-from lwrvsl.params import KMH_PER_MPS, M_PER_KM, MAX_N_CELLS
+from lwrvsl import params_from_paper_units
+from lwrvsl.params import KMH_PER_MPS, M_PER_KM, MAX_N_CELLS, TrafficParams, make_grid
 
 
 def _valid_kwargs(**overrides):

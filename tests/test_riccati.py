@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lwrvsl import (
-    REFERENCE_Q0_VALUES,
+from lwrvsl import assemble_problem, feedback_gain, riccati, verify
+from lwrvsl.params import TrafficParams, make_grid
+from lwrvsl.riccati import (
+    DEFAULT_B_CLAMP,
     RiccatiProblem,
-    TrafficParams,
-    assemble_problem,
     control_field,
     control_field_explicit,
-    feedback_gain,
     integrate_vsl,
-    make_grid,
     phi_closed_form,
     phi_numeric_oracle,
 )
-from lwrvsl import riccati, verify
-from lwrvsl.riccati import DEFAULT_B_CLAMP
+from lwrvsl.scenario import REFERENCE_Q0_VALUES
 from lwrvsl.verify import ORACLE_BOUND
 
 PARAMS = TrafficParams(

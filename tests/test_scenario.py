@@ -10,31 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lwrvsl.scenario as scenario_module
-from lwrvsl import (
+from lwrvsl import assemble_problem, feedback_gain, reference_scenario, run_simulation
+from lwrvsl.fundamental import characteristic_speed, flux
+from lwrvsl.params import make_grid
+from lwrvsl.riccati import control_field, integrate_vsl
+from lwrvsl.scenario import (
+    REFERENCE_CADENCE,
+    REFERENCE_CFL,
     REFERENCE_Q0_VALUES,
     Scenario,
     SimulationHistory,
-    SolverError,
-    assemble_problem,
-    characteristic_speed,
-    control_field,
-    feedback_gain,
-    flux,
     initial_condition,
-    integrate_vsl,
-    make_grid,
-    reference_scenario,
-    run_simulation,
-    step_linear,
-    step_nonlinear,
+    mass_balance_defect,
     sweep_q0,
     target_cars,
     time_to_target,
     total_cars,
     upstream_boundary,
 )
-from lwrvsl.scenario import REFERENCE_CADENCE, REFERENCE_CFL, mass_balance_defect
-from lwrvsl.solvers import stable_dt
+from lwrvsl.solvers import SolverError, stable_dt, step_linear, step_nonlinear
 
 
 def _tiny(model="linear", **overrides):

@@ -11,21 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lwrvsl.scenario as scenario_module
-from lwrvsl import verify
-from lwrvsl import (
+from lwrvsl import assemble_problem, reference_scenario, run_simulation, verify
+from lwrvsl.fundamental import flux
+from lwrvsl.params import TrafficParams, make_grid
+from lwrvsl.solvers import (
     SolverError,
-    TrafficParams,
     apply_boundary,
-    assemble_problem,
-    flux,
     godunov_interface_flux,
-    make_grid,
-    reference_scenario,
-    run_simulation,
+    stable_dt,
     step_linear,
     step_nonlinear,
 )
-from lwrvsl.solvers import stable_dt
 
 PARAMS = TrafficParams(
     rho_max=0.16,
