@@ -38,7 +38,7 @@ class TrafficParams:
         free-flow regime, where the linearized plant has V < 0 and B0 < 0
         and is stabilizable
     b_0: base VSL rate (dimensionless multiplier on u_max)
-    road_length: [m]
+    road_length: [m]; pi * road_length must be finite
     sim_time: [s]
     """
 
@@ -52,6 +52,9 @@ class TrafficParams:
     def __post_init__(self) -> None:
         for name in ("rho_max", "u_max", "rho_0", "road_length", "sim_time", "b_0"):
             require_positive(name, getattr(self, name))
+        # the initial condition reads sin(pi z / L) with z up to L
+        if not math.isfinite(math.pi * self.road_length):
+            raise ValueError(f"pi * road_length must be finite, got {self.road_length!r}")
         if self.rho_0 >= self.rho_max / 2:
             raise ValueError(
                 "congested equilibrium: rho_0 must be below rho_max/2 "

@@ -9,14 +9,11 @@ All amplitudes stay inside the free-flow band (0, rho_max / 2).
 run_simulation closes the loop: at every step the current perturbation
 field feeds the LQ control law and the chosen plant (linear
 perturbation transport or nonlinear LWR) advances one explicit step.
-The control integrates to a VSL profile after every nonlinear step, and
-only at frame instants on the linear plant, whose stepper reads the
-control alone. The run's RiccatiProblem is the LQ design model and, on
-the linear plant, the plant itself: step_linear reads V and B0 from it.
-The nonlinear plant reuses the linear feedback law on its live
-perturbation rho - rho_0. The plant is chosen once per run: its state is
-rho - base (base = rho_0 on the linear plant, 0 on the nonlinear one),
-and its record is rho on both plants.
+The run's RiccatiProblem is the LQ design model, and the nonlinear plant
+reuses its feedback law on its live perturbation rho - rho_0. Each run
+records rho on both plants. The plant is chosen once per run, before
+run_simulation's step loop, where what differs between the plants is
+spelled out.
 
 Scenario validates a run's inputs once, at entry, and derives the grid
 from n_cells; q0_members does the same for a list of q0 values.
@@ -296,14 +293,14 @@ def run_simulation(
     """Advance the chosen plant over [0, T] under quasi-static feedback.
 
     The run's RiccatiProblem is assembled once: it gives the feedback
-    gain K0 at the interfaces (when control is on) and, on the linear
-    plant, the coefficients V and B0 of the stepper. Per step: refill
-    the run's ghost buffer at the current time, take one explicit step,
-    stop with SolverError if the density left [0, rho_max], and recompute
-    the control from the new perturbation field (when enabled); its VSL
-    profile is integrated on every nonlinear step, and on the linear
-    plant, which reads the control alone, only at frame instants. The
-    step size is stable_dt on the worst-case wave speed b_cap * u_max
+    gain K0 at the interfaces (when control is on) and the linear plant's
+    coefficients. The model is read once, before the loop, which binds
+    each plant's state shift, stepper and VSL refresh (see the comments
+    there). Per step: refill the run's ghost buffer at the current time,
+    take one explicit step, stop with SolverError if the density left
+    [0, rho_max], and recompute the control from the new perturbation
+    field (when enabled) for the next step. The step size, shared by both
+    plants, is stable_dt on the worst-case wave speed b_cap * u_max
     (b_cap being the clamp ceiling when control is on, else b_0),
     shortened only to land exactly on frame instants. The frame instants,
     every frame_interval seconds and at T, are listed first; one row of
@@ -322,13 +319,8 @@ def run_simulation(
         )
     b_cap = scenario.clamp[1] if scenario.control_enabled else p.b_0
     dt_fixed = stable_dt(grid.dz, b_cap * p.u_max, cfl)
-    linear = scenario.model == "linear"
     problem = assemble_problem(p, scenario.q0, scenario.r0)
     gain = feedback_gain(grid.interfaces, problem) if scenario.control_enabled else None
-    # the plant's state is rho - base: the perturbation, or the absolute density
-    base = p.rho_0 if linear else 0.0
-
-    state = initial_condition(grid.cell_centers, scenario) - base
 
     zero_control = np.zeros(grid.n_cells + 1)
     base_profile = np.full(grid.n_cells + 1, p.b_0)
@@ -338,6 +330,20 @@ def run_simulation(
 
     def vsl_profile(u_opt: np.ndarray) -> np.ndarray:
         return base_profile if gain is None else integrate_vsl(u_opt, p.b_0, grid, scenario.clamp)
+
+    # The one plant choice. The plant's state is rho - base; after each step its stepper
+    # reads drive = actuate(control), and a frame records frame_profile(control, drive).
+    if scenario.model == "linear":
+        # the perturbation, stepped with V and B0 of the problem on the control itself:
+        # the VSL profile is integrated only where a frame records it
+        base, stepper, coefficients = p.rho_0, step_linear, problem
+        actuate, frame_profile = (lambda u: u), (lambda u, _: vsl_profile(u))
+    else:
+        # the absolute density, stepped on the VSL profile of every step's control
+        base, stepper, coefficients = 0.0, step_nonlinear, p
+        actuate, frame_profile = vsl_profile, (lambda _, b: b)
+
+    state = initial_condition(grid.cell_centers, scenario) - base
 
     # the frame instants: 0, then min(k * frame_interval, T) until T is reached
     times = [0.0]
@@ -353,28 +359,23 @@ def run_simulation(
     extended = np.empty(grid.n_cells + 2)
 
     u_opt = control(state)
-    b_profile = vsl_profile(u_opt)
+    drive = actuate(u_opt)
     t = 0.0
     for row, next_frame in enumerate(times):
         while t < next_frame:  # the step that reaches next_frame sets t to it exactly
             at_frame = t + dt_fixed >= next_frame - 1e-12
             dt = next_frame - t if at_frame else dt_fixed
             apply_boundary(extended, state, upstream_boundary(t, scenario) - base)
-            if linear:
-                state, fluxes = step_linear(grid, extended, u_opt, problem, dt)
-            else:
-                state, fluxes = step_nonlinear(grid, extended, b_profile, p, dt)
+            state, fluxes = stepper(grid, extended, drive, coefficients, dt)
             inflow += dt * float(fluxes[0])
             outflow += dt * float(fluxes[-1])
             t = next_frame if at_frame else t + dt
             _check_density(state, base, t, scenario)
-            # the control of the new state drives the next step and, at a frame, is
-            # recorded; step_linear reads only u_opt, so its profile is needed at frames only
+            # the control of the new state drives the next step and, at a frame, is recorded
             u_opt = control(state)
-            if not linear or at_frame:
-                b_profile = vsl_profile(u_opt)
+            drive = actuate(u_opt)
         np.add(state, base, out=density_frames[row])
-        vsl_frames[row] = b_profile
+        vsl_frames[row] = frame_profile(u_opt, drive)
         control_frames[row] = u_opt
         totals[row] = total_cars(density_frames[row], grid)
     return SimulationHistory(

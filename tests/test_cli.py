@@ -97,6 +97,16 @@ class TestUsageErrors:
         assert "share labels" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_road_length_is_config_error(self, tmp_path, capsys):
+        # pi * L overflows, so the initial condition would be NaN: an input error, not exit 2
+        path = tmp_path / "long.yaml"
+        path.write_text(TINY_CONFIG.replace("params:\n", "params:\n  road_length_m: 1.0e+308\n"))
+        out = tmp_path / "out"
+        assert _simulate(path, out) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "road_length" in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1
         assert "cannot read config" in capsys.readouterr().err

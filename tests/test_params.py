@@ -40,6 +40,13 @@ class TestTrafficParams:
                 with pytest.raises(ValueError, match=name):
                     TrafficParams(**_valid_kwargs(**{name: bad}))
 
+    def test_rejects_road_length_whose_pi_multiple_overflows(self):
+        # sin(pi z / L) of the initial condition overflows to NaN above ~5.72e307 m
+        for bad in (1.7e308, 1.0e308, 6.0e307):
+            with pytest.raises(ValueError, match="road_length"):
+                TrafficParams(**_valid_kwargs(road_length=bad))
+        assert TrafficParams(**_valid_kwargs(road_length=5.0e307)).road_length == 5.0e307
+
     def test_rejects_negative_rho_0(self):
         with pytest.raises(ValueError, match="rho_0"):
             TrafficParams(**_valid_kwargs(rho_0=-0.01))

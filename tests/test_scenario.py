@@ -306,6 +306,41 @@ class TestRunSimulation:
         assert history.inflow_cars.hex() == float(inflow).hex()
         assert history.outflow_cars.hex() == float(outflow).hex()
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        model=st.sampled_from(["linear", "nonlinear"]),
+        control_enabled=st.booleans(),
+        n_cells=st.integers(min_value=4, max_value=200),
+        q0_exponent=st.floats(min_value=-7.0, max_value=-3.0),
+        amplitude_scale=st.floats(min_value=0.0, max_value=1.25),
+        # a frame every (steps + fraction) fixed steps, so the step reaching it is cut
+        steps=st.integers(min_value=0, max_value=5),
+        fraction=st.floats(min_value=0.1, max_value=0.9),
+    )
+    def test_equals_the_reference_loop_bitwise_over_drawn_scenarios(
+        self, model, control_enabled, n_cells, q0_exponent, amplitude_scale, steps, fraction
+    ):
+        scenario = reference_scenario(
+            model=model,
+            q0=10.0**q0_exponent,
+            control_enabled=control_enabled,
+            n_cells=n_cells,
+            amplitude_scale=amplitude_scale,
+            sim_time=12.0,
+        )
+        p = scenario.params
+        b_cap = scenario.clamp[1] if control_enabled else p.b_0
+        dt = stable_dt(scenario.grid.dz, b_cap * p.u_max, REFERENCE_CFL)
+        frame_interval = (steps + fraction) * dt
+        history = run_simulation(scenario, frame_interval)
+        rows, inflow, outflow, _ = _reference_run(scenario, frame_interval)
+        assert history.density_frames.tobytes() == rows["density"].tobytes()
+        assert history.vsl_frames.tobytes() == rows["vsl"].tobytes()
+        assert history.control_frames.tobytes() == rows["control"].tobytes()
+        assert history.total_cars_series.tobytes() == rows["totals"].tobytes()
+        assert history.inflow_cars.hex() == float(inflow).hex()
+        assert history.outflow_cars.hex() == float(outflow).hex()
+
     @pytest.mark.parametrize("model", ["linear", "nonlinear"])
     def test_boundary_car_counts_are_plain_floats(self, model):
         history = run_simulation(_tiny(model=model), frame_interval=2.0)
