@@ -16,6 +16,9 @@ import numpy as np
 from .params import TrafficParams
 
 ArrayLike = float | np.ndarray
+# 1.0 as a 0-d array: numpy converts a Python float operand on every call, and the
+# in-place flux runs on every nonlinear step
+_ONE = np.array(1.0)
 
 
 def equilibrium_speed(rho: ArrayLike, params: TrafficParams) -> ArrayLike:
@@ -28,9 +31,21 @@ def vsl_speed(rho: ArrayLike, b: ArrayLike, params: TrafficParams) -> ArrayLike:
     return b * equilibrium_speed(rho, params)
 
 
-def flux(rho: ArrayLike, b: ArrayLike, params: TrafficParams) -> ArrayLike:
-    """Traffic flow q = rho * u [cars/s]; zero at rho = 0 and rho_max."""
-    return rho * vsl_speed(rho, b, params)
+def flux(
+    rho: ArrayLike, b: ArrayLike, params: TrafficParams, out: np.ndarray | None = None
+) -> ArrayLike:
+    """Traffic flow q = rho * u [cars/s]; zero at rho = 0 and rho_max.
+
+    With out, an array of the broadcast shape that overlaps neither rho
+    nor b, the same operations run in place there and out is returned.
+    """
+    if out is None:
+        return rho * vsl_speed(rho, b, params)
+    np.divide(rho, params.rho_max, out)
+    np.subtract(_ONE, out, out)
+    np.multiply(params.u_max, out, out)
+    np.multiply(b, out, out)
+    return np.multiply(rho, out, out)
 
 
 def characteristic_speed(rho: ArrayLike, b: ArrayLike, params: TrafficParams) -> ArrayLike:

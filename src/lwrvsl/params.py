@@ -20,6 +20,10 @@ KMH_PER_MPS = 3.6   # km/h / KMH_PER_MPS -> m/s
 # run_simulation holds every run to that budget of frames x (n_cells + 1) values
 MAX_N_CELLS = 100_000
 MAX_FRAME_VALUES = 241 * (MAX_N_CELLS + 1)
+# the most work a run may take, ceil(sim_time / dt) fixed steps of n_cells updates each:
+# the reference run makes 768,000 cell updates (1,920 steps of 400 cells) in ~35 ms on
+# a 2.1 GHz Xeon, so a run at the ceiling takes about a minute there
+MAX_CELL_UPDATES = 1_000_000_000
 
 
 def require_positive(name: str, value: float) -> None:

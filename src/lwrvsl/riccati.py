@@ -23,7 +23,9 @@ an independent numerical oracle for the closed form.
 assemble_problem is the one place V and B0 are computed: a run's
 RiccatiProblem designs the gain and is also the linear plant that
 step_linear advances. control_field and integrate_vsl, which run on
-every closed-loop step, fill new arrays in place and concatenate nothing.
+every closed-loop step, concatenate nothing and take a numpy-style out=,
+so that a run writes each step's control and profile into buffers it
+allocates once.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .fundamental import characteristic_speed, flux
 from .params import Grid1D, TrafficParams
 
 DEFAULT_B_CLAMP = (0.1, 2.0)
+# 0.5 as a 0-d array: numpy converts a Python float operand on every call, and the
+# control runs on every closed-loop step
+_HALF = np.array(0.5)
 
 
 @dataclass(frozen=True)
@@ -112,21 +117,26 @@ def feedback_gain(z: np.ndarray | float, problem: RiccatiProblem) -> np.ndarray 
     return -problem.b0_coef * phi_closed_form(z, problem) / problem.r0
 
 
-def _interface_state(values: np.ndarray) -> np.ndarray:
+def _interface_state(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # interior interfaces average the adjacent cells; boundary interfaces are one-sided
-    state = np.empty(values.size + 1)
+    state = np.empty(values.size + 1) if out is None else out
     state[0], state[-1] = values[0], values[-1]
-    interior = np.add(values[:-1], values[1:], out=state[1:-1])
-    interior *= 0.5
+    interior = np.add(values[:-1], values[1:], state[1:-1])
+    np.multiply(interior, _HALF, interior)
     return state
 
 
-def control_field(delta_rho: np.ndarray, gain: np.ndarray) -> np.ndarray:
+def control_field(
+    delta_rho: np.ndarray, gain: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-interface control u_opt = K0(z) drho(z) from the cell perturbations.
 
-    gain is feedback_gain at the grid interfaces, which a run computes once.
+    gain is feedback_gain at the grid interfaces, which a run computes
+    once. The control is written into out, of size delta_rho.size + 1,
+    when it is given, and into a new array otherwise.
     """
-    return gain * _interface_state(delta_rho)
+    state = _interface_state(delta_rho, out)
+    return np.multiply(gain, state, state)
 
 
 def control_field_explicit(
@@ -155,19 +165,24 @@ def integrate_vsl(
     b0: float,
     grid: Grid1D,
     clamp: tuple[float, float] = DEFAULT_B_CLAMP,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integrate u = db/dz into a speed-limit profile anchored at b(0) = b0.
 
     Trapezoidal cumulative integral over the interfaces, then an
     elementwise clamp to [b_min, b_max], which must straddle b0 (Scenario
     checks this at entry). Zero control therefore reproduces the
-    uncontrolled profile b = b0 exactly. The returned per-interface
-    profile is read-only.
+    uncontrolled profile b = b0 exactly. The profile is written into out,
+    of u_opt's size and not overlapping it, when it is given; otherwise
+    it is a new array, returned read-only.
     """
-    increments = 0.5 * grid.dz * (u_opt[:-1] + u_opt[1:])
-    profile = np.zeros(u_opt.size)
+    increments = np.add(u_opt[:-1], u_opt[1:])
+    np.multiply(increments, 0.5 * grid.dz, increments)
+    profile = np.empty(u_opt.size) if out is None else out
+    profile[0] = 0.0
     np.add.accumulate(increments, out=profile[1:])
-    profile += b0
+    np.add(profile, b0, profile)
     profile.clip(*clamp, out=profile)
-    profile.setflags(write=False)
+    if out is None:
+        profile.setflags(write=False)
     return profile

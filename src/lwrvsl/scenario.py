@@ -17,9 +17,14 @@ spelled out.
 
 Scenario validates a run's inputs once, at entry, and derives the grid
 from n_cells; q0_members does the same for a list of q0 values.
-stable_dt fixes the step size. The loop checks only each step's density
-bound and, before each step, has apply_boundary refill the run's one
-ghost-extended buffer.
+stable_dt fixes the step size, and run_simulation refuses a run whose
+frames or cell updates exceed MAX_FRAME_VALUES or MAX_CELL_UPDATES
+before it builds anything. The loop checks only each step's density
+bound, on Python floats. Every step writes into arrays the run allocates
+once: apply_boundary refills the ghost-extended buffer, and control_field
+and integrate_vsl write the control and the VSL profile through their
+out= arguments; a step allocates only the stepper's new state and
+fluxes and a few temporaries inside the kernels.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (
-    M_PER_KM, MAX_FRAME_VALUES, Grid1D, TrafficParams, make_grid, params_from_paper_units,
-    require_positive,
+    M_PER_KM, MAX_CELL_UPDATES, MAX_FRAME_VALUES, Grid1D, TrafficParams, make_grid,
+    params_from_paper_units, require_positive,
 )
 from .riccati import (
     DEFAULT_B_CLAMP, assemble_problem, control_field, feedback_gain, integrate_vsl,
@@ -221,25 +226,22 @@ def initial_condition(z: np.ndarray | float, scenario: Scenario) -> np.ndarray |
     return p.rho_0 + amplitude * np.sin(np.pi * z_arr / p.road_length)
 
 
-def upstream_boundary(t: np.ndarray | float, scenario: Scenario) -> np.ndarray | float:
+def upstream_boundary(t: float, scenario: Scenario) -> float:
     """Upstream density rho_0 + A_b exp(-kappa t) sin(pi t / P) + gamma t, cars/m.
 
     t is not checked; Scenario bounds the density for t in [0, sim_time].
+    numpy evaluates exp and sin; the rest is float arithmetic.
     """
     osc_amp = scenario.bc_osc_amplitude / M_PER_KM
     growth = scenario.bc_growth_rate / M_PER_KM
-    return (
-        scenario.params.rho_0
-        + osc_amp
-        * np.exp(-scenario.bc_decay_rate * t)
-        * np.sin(np.pi * t / scenario.bc_osc_period)
-        + growth * t
-    )
+    decay = float(np.exp(-scenario.bc_decay_rate * t))
+    wave = float(np.sin(np.pi * t / scenario.bc_osc_period))
+    return scenario.params.rho_0 + osc_amp * decay * wave + growth * t
 
 
 def total_cars(rho: np.ndarray, grid: Grid1D) -> float:
     """Spatial integral of the absolute density over the road: sum rho_i dz, in cars."""
-    return float(np.sum(rho) * grid.dz)
+    return float(np.add.reduce(rho) * grid.dz)
 
 
 def target_cars(params: TrafficParams) -> float:
@@ -276,8 +278,10 @@ def mass_balance_defect(history: SimulationHistory) -> tuple[float, float]:
 
 def _check_density(state: np.ndarray, base: float, t: float, scenario: Scenario) -> None:
     """Raise SolverError unless every density state + base lies in [0, rho_max]; NaN fails."""
-    # rounding is monotone, so min(state) + base is the minimum of state + base
-    low, high = np.minimum.reduce(state) + base, np.maximum.reduce(state) + base
+    # rounding is monotone, so min(state) + base is the minimum of state + base. argmin
+    # and argmax find the first NaN, if any, and take a fraction of a reduction's time
+    low = state.item(state.argmin()) + base
+    high = state.item(state.argmax()) + base
     if not 0.0 <= low <= high <= scenario.params.rho_max:
         raise SolverError(
             f"density left [0, rho_max] in the {scenario.model} run at t={t}: "
@@ -295,53 +299,79 @@ def run_simulation(
     The run's RiccatiProblem is assembled once: it gives the feedback
     gain K0 at the interfaces (when control is on) and the linear plant's
     coefficients. The model is read once, before the loop, which binds
-    each plant's state shift, stepper and VSL refresh (see the comments
-    there). Per step: refill the run's ghost buffer at the current time,
-    take one explicit step, stop with SolverError if the density left
-    [0, rho_max], and recompute the control from the new perturbation
-    field (when enabled) for the next step. The step size, shared by both
-    plants, is stable_dt on the worst-case wave speed b_cap * u_max
-    (b_cap being the clamp ceiling when control is on, else b_0),
-    shortened only to land exactly on frame instants. The frame instants,
-    every frame_interval seconds and at T, are listed first; one row of
-    density, VSL rate, control and total cars is filled at each. A run
-    whose frame matrices would hold more than MAX_FRAME_VALUES values
-    raises ValueError before any of them, or the list, is built.
+    each plant's state shift, stepper and the buffer that stepper reads
+    (see the comments there). Per step: refill the run's ghost buffer at
+    the current time, take one explicit step, stop with SolverError if
+    the density left [0, rho_max], and recompute the control from the
+    new perturbation field (when enabled) for the next step, in buffers
+    allocated once per run. The step size, shared by both plants, is
+    stable_dt on the worst-case wave speed b_cap * u_max (b_cap being the
+    clamp ceiling when control is on, else b_0), shortened only to land
+    exactly on frame instants. The frame instants, every frame_interval
+    seconds and at T, are listed first; one row of density, VSL rate,
+    control and total cars is filled at each. A run whose frame matrices
+    would hold more than MAX_FRAME_VALUES values, or whose ceil(T / dt)
+    fixed steps would take more than MAX_CELL_UPDATES cell updates,
+    raises ValueError before any array, or the frame list, is built.
     """
     require_positive("frame_interval", frame_interval)
     p = scenario.params
     grid = scenario.grid
+    n = grid.n_cells
     # the list below holds max(2, 1 + ceil((T - 1e-9) / frame_interval)) instants
-    if (p.sim_time - 1e-9) / frame_interval > MAX_FRAME_VALUES // (grid.n_cells + 1) - 1:
+    if (p.sim_time - 1e-9) / frame_interval > MAX_FRAME_VALUES // (n + 1) - 1:
         raise ValueError(
             f"frame_interval={frame_interval} s over sim_time={p.sim_time} s on n_cells="
-            f"{grid.n_cells} asks for more than {MAX_FRAME_VALUES} values per frame matrix"
+            f"{n} asks for more than {MAX_FRAME_VALUES} values per frame matrix"
         )
     b_cap = scenario.clamp[1] if scenario.control_enabled else p.b_0
     dt_fixed = stable_dt(grid.dz, b_cap * p.u_max, cfl)
+    # ceil(T / dt) <= MAX_CELL_UPDATES // n, written without a division that dt = 0 would fail
+    if p.sim_time > dt_fixed * (MAX_CELL_UPDATES // n):
+        b_name = "b_max" if scenario.control_enabled else "b_0"
+        raise ValueError(
+            f"sim_time={p.sim_time} s at dt={dt_fixed} s (cfl={cfl}, {b_name}={b_cap}) on "
+            f"n_cells={n} asks for more than {MAX_CELL_UPDATES} cell updates"
+        )
     problem = assemble_problem(p, scenario.q0, scenario.r0)
     gain = feedback_gain(grid.interfaces, problem) if scenario.control_enabled else None
 
-    zero_control = np.zeros(grid.n_cells + 1)
-    base_profile = np.full(grid.n_cells + 1, p.b_0)
+    # The run's buffers, each overwritten in place: the ghost-extended state, the
+    # control and the VSL profile; with control off the last two stay 0 and b_0. The
+    # scalars read on every step are 0-d arrays: numpy converts a Python float operand
+    # on every call.
+    extended = np.empty(n + 2)
+    u_opt = np.zeros(n + 1)
+    b_profile = np.full(n + 1, p.b_0)
+    b_0, clamp = np.array(p.b_0), tuple(map(np.array, scenario.clamp))
 
-    def control(values: np.ndarray) -> np.ndarray:
-        return zero_control if gain is None else control_field(values - (p.rho_0 - base), gain)
-
-    def vsl_profile(u_opt: np.ndarray) -> np.ndarray:
-        return base_profile if gain is None else integrate_vsl(u_opt, p.b_0, grid, scenario.clamp)
-
-    # The one plant choice. The plant's state is rho - base; after each step its stepper
-    # reads drive = actuate(control), and a frame records frame_profile(control, drive).
+    # The one plant choice. The plant's state is rho - base, and its stepper reads
+    # drive, one of the buffers above. refresh(state) brings u_opt, and drive with it,
+    # up to date after a step; frame_profile() brings b_profile up to date for a frame.
     if scenario.model == "linear":
         # the perturbation, stepped with V and B0 of the problem on the control itself:
         # the VSL profile is integrated only where a frame records it
-        base, stepper, coefficients = p.rho_0, step_linear, problem
-        actuate, frame_profile = (lambda u: u), (lambda u, _: vsl_profile(u))
+        base, stepper, coefficients, drive = p.rho_0, step_linear, problem, u_opt
+
+        def refresh(state: np.ndarray) -> None:
+            control_field(state, gain, out=u_opt)
+
+        def frame_profile() -> None:
+            integrate_vsl(u_opt, b_0, grid, clamp, out=b_profile)
     else:
-        # the absolute density, stepped on the VSL profile of every step's control
-        base, stepper, coefficients = 0.0, step_nonlinear, p
-        actuate, frame_profile = vsl_profile, (lambda _, b: b)
+        # the absolute density, stepped on the VSL profile of every step's control; the
+        # control reads the perturbation rho - rho_0 from a buffer of its own
+        base, stepper, coefficients, drive = 0.0, step_nonlinear, p, b_profile
+        perturbation, rho_0 = np.empty(n), np.array(p.rho_0)
+
+        def refresh(state: np.ndarray) -> None:
+            control_field(np.subtract(state, rho_0, perturbation), gain, out=u_opt)
+            integrate_vsl(u_opt, b_0, grid, clamp, out=b_profile)
+
+        frame_profile = (lambda: None)  # the profile of every step is already there
+
+    if gain is None:
+        refresh, frame_profile = (lambda state: None), (lambda: None)
 
     state = initial_condition(grid.cell_centers, scenario) - base
 
@@ -350,16 +380,14 @@ def run_simulation(
     while len(times) == 1 or times[-1] < p.sim_time - 1e-9:
         times.append(min(len(times) * frame_interval, p.sim_time))
     n_frames = len(times)
-    density_frames = np.empty((n_frames, grid.n_cells))
-    vsl_frames = np.empty((n_frames, grid.n_cells + 1))
-    control_frames = np.empty((n_frames, grid.n_cells + 1))
+    density_frames = np.empty((n_frames, n))
+    vsl_frames = np.empty((n_frames, n + 1))
+    control_frames = np.empty((n_frames, n + 1))
     totals = np.empty(n_frames)
     inflow = 0.0
     outflow = 0.0
-    extended = np.empty(grid.n_cells + 2)
 
-    u_opt = control(state)
-    drive = actuate(u_opt)
+    refresh(state)
     t = 0.0
     for row, next_frame in enumerate(times):
         while t < next_frame:  # the step that reaches next_frame sets t to it exactly
@@ -367,15 +395,15 @@ def run_simulation(
             dt = next_frame - t if at_frame else dt_fixed
             apply_boundary(extended, state, upstream_boundary(t, scenario) - base)
             state, fluxes = stepper(grid, extended, drive, coefficients, dt)
-            inflow += dt * float(fluxes[0])
-            outflow += dt * float(fluxes[-1])
+            inflow += dt * fluxes.item(0)
+            outflow += dt * fluxes.item(-1)
             t = next_frame if at_frame else t + dt
             _check_density(state, base, t, scenario)
             # the control of the new state drives the next step and, at a frame, is recorded
-            u_opt = control(state)
-            drive = actuate(u_opt)
+            refresh(state)
         np.add(state, base, out=density_frames[row])
-        vsl_frames[row] = frame_profile(u_opt, drive)
+        frame_profile()
+        vsl_frames[row] = b_profile
         control_frames[row] = u_opt
         totals[row] = total_cars(density_frames[row], grid)
     return SimulationHistory(

@@ -9,7 +9,8 @@ Two explicit first-order schemes share the grid and boundary plumbing:
   linear plant is exactly the model the LQ gain is designed on.
 - step_nonlinear updates the conservation law d(rho)/dt + d(q)/dz = 0 with
   the VSL flux q = rho b u_max (1 - rho/rho_max), using the Godunov
-  demand-supply interface flux.
+  demand-supply interface flux, which is the left state's demand alone
+  while every value lies at or below FREE_FLOW_MARGIN * rho_c.
 
 States are plain 1-D arrays: drho for the linear plant, rho for the
 nonlinear one. A stepper takes the state with one ghost cell at each end,
@@ -17,10 +18,13 @@ in the same kind: Dirichlet upstream (valid while characteristics enter
 from the left, guaranteed in free flow) and zero-gradient downstream.
 apply_boundary alone writes that policy, refilling a buffer its caller
 allocates once per march. Each stepper takes the grid and that extended
-array, leaves it unchanged, and returns (new_values, interface_fluxes).
-The steppers do arithmetic only and raise nothing: a caller owns the CFL
-condition by taking dt from stable_dt, and run_simulation checks the
-density bound after every step.
+array, leaves it unchanged, and returns (new_values, interface_fluxes),
+the only arrays a free-flow nonlinear step allocates. The steppers raise
+nothing: a caller owns the CFL condition by taking dt from stable_dt, and
+run_simulation checks the density bound after every step. The in-place
+ufunc calls on a step's path (here, in flux, and in riccati's
+control_field and integrate_vsl) pass out positionally, which numpy
+parses faster than the keyword.
 """
 
 from __future__ import annotations
@@ -30,6 +34,13 @@ import numpy as np
 from .fundamental import critical_density, flux
 from .params import Grid1D, TrafficParams
 from .riccati import RiccatiProblem
+
+# In free flow, rho <= rho_c on both sides, the Godunov flux min(demand, supply) is
+# the demand q(rho_left), as supply is the capacity q(rho_c). The rounded q is not
+# monotone within a few ulps of rho_c, so step_nonlinear takes the demand alone only
+# at or below this fraction of rho_c: there q(rho) <= (1 - 1e-4) q(rho_c), a gap far
+# wider than the rounding of either value.
+FREE_FLOW_MARGIN = 0.99
 
 
 class SolverError(RuntimeError):
@@ -77,11 +88,14 @@ def step_linear(
     uses u averaged from interfaces to cells. No conservation statement
     is made for the perturbation with source.
     """
-    fluxes = -problem.v_coef * extended[:-1]
-    source = problem.b0_coef * 0.5 * (u_opt[:-1] + u_opt[1:])
-    new_values = (
-        extended[1:-1] - (dt / grid.dz) * (fluxes[1:] - fluxes[:-1]) + dt * source
-    )
+    fluxes = np.multiply(-problem.v_coef, extended[:-1])
+    new_values = np.subtract(fluxes[1:], fluxes[:-1])
+    np.multiply(new_values, dt / grid.dz, new_values)
+    np.subtract(extended[1:-1], new_values, new_values)
+    source = np.add(u_opt[:-1], u_opt[1:])
+    np.multiply(source, problem.b0_coef * 0.5, source)
+    np.multiply(source, dt, source)
+    np.add(new_values, source, new_values)
     return new_values, fluxes
 
 
@@ -113,8 +127,17 @@ def step_nonlinear(
     """Conservative Godunov step of the LWR equation with a VSL profile.
 
     rho_i <- rho_i - (dt/dz) (F_{i+1/2} - F_{i-1/2}); interior mass
-    change therefore equals the boundary flux difference exactly.
+    change therefore equals the boundary flux difference exactly. When
+    every value of extended is at most FREE_FLOW_MARGIN * rho_c, the flux
+    is evaluated on the left states alone, bitwise equal to the Godunov
+    flux there; above the margin, or on a NaN, godunov_interface_flux runs.
     """
-    fluxes = godunov_interface_flux(extended[:-1], extended[1:], b_profile, params)
-    new_values = extended[1:-1] - (dt / grid.dz) * (fluxes[1:] - fluxes[:-1])
-    return new_values, fluxes
+    left = extended[:-1]
+    # argmax finds the largest value, or the first NaN, in a fraction of a reduction's time
+    if extended.item(extended.argmax()) <= FREE_FLOW_MARGIN * critical_density(params):
+        fluxes = flux(left, b_profile, params, out=np.empty(left.size))
+    else:
+        fluxes = godunov_interface_flux(left, extended[1:], b_profile, params)
+    new_values = np.subtract(fluxes[1:], fluxes[:-1])
+    np.multiply(new_values, dt / grid.dz, new_values)
+    return np.subtract(extended[1:-1], new_values, new_values), fluxes

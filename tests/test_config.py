@@ -12,7 +12,7 @@ import lwrvsl.params as params_module
 import lwrvsl.scenario as scenario_module
 from lwrvsl import reference_scenario
 from lwrvsl.config import _SCHEMA, ConfigError, parse_config
-from lwrvsl.params import MAX_FRAME_VALUES, MAX_N_CELLS
+from lwrvsl.params import MAX_CELL_UPDATES, MAX_FRAME_VALUES, MAX_N_CELLS
 
 
 def _parse(text):
@@ -243,6 +243,56 @@ class TestRejection:
             "sweep member q0=1e-05 failed", "sweep member q0=5e-05 failed"
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, inputs",
+        [
+            # 3.4e16 fixed steps of 16 cells: b_max sets the step of a run with control on
+            ("control: {b_max: 1.0e+15}\nnumerics: {n_cells: 16}\n",
+             "(cfl=0.9, b_max=1000000000000000.0) on n_cells=16"),
+            ("numerics: {cfl: 1.0e-12, n_cells: 16}\n", "(cfl=1e-12, b_max=2.0) on n_cells=16"),
+            # ~4.3e10 updates: the finest grid for 120 s
+            (f"numerics: {{n_cells: {MAX_N_CELLS}}}\n",
+             f"(cfl=0.9, b_max=2.0) on n_cells={MAX_N_CELLS}"),
+        ],
+        ids=["b_max", "cfl", "n_cells"],
+    )
+    def test_work_above_the_ceiling_allocates_nothing(
+        self, text, inputs, tmp_path, monkeypatch, capsys
+    ):
+        class NoAllocation:
+            def __getattr__(self, name):
+                raise AssertionError(f"run_simulation reached numpy.{name}")
+
+        # parse_config takes each of these; run_simulation refuses the work before any array
+        parse_config(text)
+        monkeypatch.setattr(scenario_module, "np", NoAllocation())
+        path = tmp_path / "long.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli_module.main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sim_time=120.0 s at dt=")
+        assert err.rstrip().endswith(
+            f" s {inputs} asks for more than {MAX_CELL_UPDATES} cell updates"
+        )
+        assert not out.exists()
+        argv = ["sweep", "--config", str(path), "--out", str(out), "--q0", "1e-5", "--q0", "5e-5"]
+        assert cli_module.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": sim_time=")[0] for line in err] == [
+            "sweep member q0=1e-05 failed", "sweep member q0=5e-05 failed"
+        ]
+        assert not out.exists()
+
+    def test_work_ceiling_counts_the_fixed_steps(self, monkeypatch):
+        # 16 cells for 4 s take ceil(4 / 1.7604...) = 3 fixed steps: 48 updates fit, 47 do not
+        scenario = reference_scenario(model="nonlinear", n_cells=16, sim_time=4.0)
+        monkeypatch.setattr(scenario_module, "MAX_CELL_UPDATES", 48)
+        scenario_module.run_simulation(scenario, 4.0)
+        monkeypatch.setattr(scenario_module, "MAX_CELL_UPDATES", 47)
+        with pytest.raises(ValueError, match="asks for more than 47 cell updates"):
+            scenario_module.run_simulation(scenario, 4.0)
 
     def test_integer_beyond_the_float_range(self):
         huge = "1" + "0" * 400

@@ -333,6 +333,15 @@ class TestControlField:
         assert riccati._interface_state(values).tobytes() == expected.tobytes()
         assert control_field(values, gain).tobytes() == (gain * expected).tobytes()
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(n_cells=cell_counts, data=st.data())
+    def test_out_is_filled_with_the_same_control(self, n_cells, data):
+        values = data.draw(_rows(perturbations, n_cells))
+        gain = data.draw(_rows(st.floats(min_value=0.0, max_value=0.03), n_cells + 1))
+        out = np.full(n_cells + 1, np.nan)
+        assert control_field(values, gain, out=out) is out
+        assert out.tobytes() == control_field(values, gain).tobytes()
+
     def test_zero_state_gives_zero_control(self):
         grid = make_grid(2000.0, 16)
         u = control_field(np.zeros(16), _gain(grid, _problem()))
@@ -392,6 +401,18 @@ class TestIntegrateVsl:
         profile = integrate_vsl(u_opt, b0, grid)
         assert profile.tobytes() == _reference_integrate_vsl(u_opt, b0, grid).tobytes()
         assert not profile.flags.writeable
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(n_cells=cell_counts, data=st.data())
+    def test_out_is_filled_with_the_same_profile(self, n_cells, data):
+        # a run refills one writable buffer on every step, its bounds as 0-d arrays
+        grid = make_grid(2000.0, n_cells)
+        u_opt = data.draw(_rows(controls, n_cells + 1))
+        out = np.full(n_cells + 1, np.nan)
+        clamp = tuple(map(np.array, DEFAULT_B_CLAMP))
+        assert integrate_vsl(u_opt, np.array(1.0), grid, clamp, out=out) is out
+        assert out.flags.writeable
+        assert out.tobytes() == _reference_integrate_vsl(u_opt, 1.0, grid).tobytes()
 
     def test_equals_the_cumsum_form_where_the_clamp_binds_on_both_sides(self):
         # the clamp acts on the whole integral: a rise past b = 5 over the first

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lwrvsl.scenario as scenario_module
+import lwrvsl.solvers as solvers_module
 from lwrvsl import assemble_problem, feedback_gain, reference_scenario, run_simulation
 from lwrvsl.fundamental import characteristic_speed, flux
 from lwrvsl.params import make_grid
@@ -146,6 +147,23 @@ class TestBoundaryData:
         rho_20 = upstream_boundary(20.0, scenario)
         ramp = scenario.bc_growth_rate / 1000.0 * 20.0
         assert rho_20 == pytest.approx(0.05 + ramp, rel=1e-12)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(t=st.floats(min_value=0.0, max_value=120.0), scale=st.floats(0.0, 1.25))
+    def test_upstream_boundary_is_the_float_of_its_numpy_scalar_form(self, t, scale):
+        scenario = reference_scenario(amplitude_scale=scale)
+        osc_amp = scenario.bc_osc_amplitude / 1000.0
+        growth = scenario.bc_growth_rate / 1000.0
+        expected = (
+            scenario.params.rho_0
+            + osc_amp
+            * np.exp(-scenario.bc_decay_rate * t)
+            * np.sin(np.pi * t / scenario.bc_osc_period)
+            + growth * t
+        )
+        value = upstream_boundary(t, scenario)
+        assert type(value) is float
+        assert value.hex() == float(expected).hex()
 
     def test_decay_shrinks_the_oscillation(self):
         fast = dataclasses.replace(reference_scenario(), bc_decay_rate=0.1)
@@ -341,6 +359,47 @@ class TestRunSimulation:
         assert history.inflow_cars.hex() == float(inflow).hex()
         assert history.outflow_cars.hex() == float(outflow).hex()
 
+    def test_a_run_above_the_free_flow_margin_equals_the_reference_loop(self, monkeypatch):
+        # the boundary wave peaks at 79.9 cars/km, between the margin 0.99 rho_c
+        # (79.2) and rho_c (80): the run starts in free flow, takes the Godunov
+        # flux while the wave crosses the road, then the demand flux again
+        scenario = dataclasses.replace(
+            reference_scenario(model="nonlinear", n_cells=40, sim_time=30.0),
+            bc_osc_amplitude=29.9,
+            bc_growth_rate=0.0,
+        )
+        assert upstream_boundary(10.0, scenario) > 0.99 * scenario.params.rho_max / 2.0
+        calls = []
+        godunov = solvers_module.godunov_interface_flux
+        monkeypatch.setattr(
+            solvers_module, "godunov_interface_flux",
+            lambda *args: calls.append("godunov") or godunov(*args),
+        )
+        monkeypatch.setattr(
+            solvers_module, "flux",
+            lambda *args, **kwargs: calls.append("flux") or flux(*args, **kwargs),
+        )
+        history = run_simulation(scenario, 1.0)
+        # a Godunov step calls flux once, inside godunov_interface_flux
+        godunov_steps = calls.count("godunov")
+        assert 0 < godunov_steps < calls.count("flux") - godunov_steps
+        assert calls[0] == "flux" and calls[-2] != "godunov"  # free flow first and last
+        monkeypatch.undo()
+        rows, inflow, outflow, _ = _reference_run(scenario, 1.0)
+        assert history.density_frames.tobytes() == rows["density"].tobytes()
+        assert history.vsl_frames.tobytes() == rows["vsl"].tobytes()
+        assert history.control_frames.tobytes() == rows["control"].tobytes()
+        assert history.total_cars_series.tobytes() == rows["totals"].tobytes()
+        assert history.inflow_cars.hex() == float(inflow).hex()
+        assert history.outflow_cars.hex() == float(outflow).hex()
+        # and with no free-flow branch at all, every step takes the Godunov flux
+        monkeypatch.setattr(solvers_module, "FREE_FLOW_MARGIN", 0.0)
+        godunov_only = run_simulation(scenario, 1.0)
+        assert godunov_only.density_frames.tobytes() == history.density_frames.tobytes()
+        assert godunov_only.vsl_frames.tobytes() == history.vsl_frames.tobytes()
+        assert godunov_only.inflow_cars.hex() == history.inflow_cars.hex()
+        assert godunov_only.outflow_cars.hex() == history.outflow_cars.hex()
+
     @pytest.mark.parametrize("model", ["linear", "nonlinear"])
     def test_boundary_car_counts_are_plain_floats(self, model):
         history = run_simulation(_tiny(model=model), frame_interval=2.0)
@@ -433,6 +492,18 @@ class TestRunSimulation:
         monkeypatch.setattr(scenario_module, "upstream_boundary", lambda t, scenario: math.nan)
         with pytest.raises(SolverError, match="left \\[0, rho_max\\]"):
             run_simulation(_tiny(model=model))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-9, 0.16 + 1e-9, math.inf])
+    @pytest.mark.parametrize("index", [0, 7, -1])
+    @pytest.mark.parametrize("base", [0.0, 0.05])
+    def test_density_check_finds_a_bad_cell_anywhere(self, bad, index, base):
+        # base is the plant's state shift: 0 on the nonlinear plant, rho_0 on the linear one
+        scenario = reference_scenario()
+        state = np.full(16, 0.06) - base
+        scenario_module._check_density(state, base, 1.0, scenario)
+        state[index] = bad - base
+        with pytest.raises(SolverError, match="left \\[0, rho_max\\]"):
+            scenario_module._check_density(state, base, 1.0, scenario)
 
     def test_linear_plant_reads_its_coefficients_once(self, monkeypatch):
         # V and B0 come from the run's RiccatiProblem, assembled once, not from
@@ -546,11 +617,16 @@ class TestGeneratedScenarios:
     """
 
     @staticmethod
-    def _courant_checked(courants):
-        """The two steppers, wrapped to record max|dq/drho| dt / dz on every call."""
+    def _courant_checked(courants, peaks, rho_0):
+        """The two steppers, wrapped to record max|dq/drho| dt / dz and max rho on every call.
+
+        The peak is taken over the ghost-extended state each stepper is given;
+        the linear plant's state is rho - rho_0.
+        """
 
         def linear(grid, extended, u_opt, problem, dt):
             courants.append(abs(problem.v_coef) * dt / grid.dz)
+            peaks.append(float(np.max(extended)) + rho_0)
             return step_linear(grid, extended, u_opt, problem, dt)
 
         def nonlinear(grid, extended, b, params, dt):
@@ -558,6 +634,7 @@ class TestGeneratedScenarios:
             b_adjacent = np.concatenate(([b[0]], np.maximum(b[:-1], b[1:]), [b[-1]]))
             speed = np.max(np.abs(characteristic_speed(extended, b_adjacent, params)))
             courants.append(speed * dt / grid.dz)
+            peaks.append(float(np.max(extended)))
             return step_nonlinear(grid, extended, b, params, dt)
 
         return linear, nonlinear
@@ -587,13 +664,15 @@ class TestGeneratedScenarios:
             scenario = dataclasses.replace(
                 scenario, bc_decay_rate=2e-3, bc_growth_rate=amplitude_scale / 8000.0
             )
-        courants = []
-        linear, nonlinear = self._courant_checked(courants)
+        courants, peaks = [], []
+        linear, nonlinear = self._courant_checked(courants, peaks, scenario.params.rho_0)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scenario_module, "step_linear", linear)
             patch.setattr(scenario_module, "step_nonlinear", nonlinear)
             history = run_simulation(scenario)
         assert courants and max(courants) <= scenario_module.REFERENCE_CFL
+        # every step is in free flow, where the upstream Dirichlet ghost is valid
+        assert max(peaks) < scenario.params.rho_max / 2.0
         assert history.density_frames.min() >= 0.0
         assert history.density_frames.max() <= scenario.params.rho_max
         if model == "nonlinear":

@@ -14,7 +14,9 @@ import lwrvsl.scenario as scenario_module
 from lwrvsl import assemble_problem, reference_scenario, run_simulation, verify
 from lwrvsl.fundamental import flux
 from lwrvsl.params import TrafficParams, make_grid
+import lwrvsl.solvers as solvers_module
 from lwrvsl.solvers import (
+    FREE_FLOW_MARGIN,
     SolverError,
     apply_boundary,
     godunov_interface_flux,
@@ -47,6 +49,11 @@ densities = st.floats(min_value=0.0, max_value=0.16, allow_nan=False)
 pinned_densities = st.one_of(st.sampled_from([0.0, RHO_C, 0.16]), densities)
 # speed-limit rates inside the default clamp [0.1, 2.0]
 rates = st.floats(min_value=0.1, max_value=2.0)
+# densities a free-flow step takes the demand flux alone for, the margin and 0 among them
+FREE_FLOW_LIMIT = FREE_FLOW_MARGIN * RHO_C
+free_flow_densities = st.one_of(
+    st.sampled_from([0.0, FREE_FLOW_LIMIT]), st.floats(min_value=0.0, max_value=FREE_FLOW_LIMIT)
+)
 
 
 @st.composite
@@ -62,6 +69,25 @@ def _reference_godunov_flux(rho_left, rho_right, b_interface, params):
     demand = flux(np.minimum(rho_left, RHO_C), b_interface, params)
     supply = flux(np.maximum(rho_right, RHO_C), b_interface, params)
     return np.minimum(demand, supply)
+
+
+def _godunov_step(grid, extended, b_profile, params, dt):
+    """The nonlinear step as first written: the Godunov flux at every interface."""
+    fluxes = godunov_interface_flux(extended[:-1], extended[1:], b_profile, params)
+    return extended[1:-1] - (dt / grid.dz) * (fluxes[1:] - fluxes[:-1]), fluxes
+
+
+def _counted_godunov(monkeypatch_context):
+    """Count the Godunov flux calls that step_nonlinear makes."""
+    calls = []
+    original = solvers_module.godunov_interface_flux
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch_context.setattr(solvers_module, "godunov_interface_flux", counted)
+    return calls
 
 
 class TestApplyBoundary:
@@ -214,6 +240,41 @@ class TestStepNonlinear:
         )
         assert np.array_equal(new_values, values)
         assert np.all(fluxes == flux(0.05, 1.0, PARAMS))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(n_cells=st.integers(min_value=2, max_value=800), data=st.data())
+    def test_free_flow_step_equals_the_godunov_step_bitwise(self, n_cells, data):
+        # at or below the margin supply is the capacity and exceeds every rounded
+        # demand, so the demand alone must give the Godunov step's bytes
+        grid = make_grid(2000.0, n_cells)
+        extended = data.draw(_rows(free_flow_densities, n_cells + 2))
+        b = data.draw(_rows(rates, n_cells + 1))
+        dt = stable_dt(grid.dz, 2.0 * PARAMS.u_max, data.draw(st.floats(0.01, 1.0)))
+        with pytest.MonkeyPatch.context() as patch:
+            godunov_calls = _counted_godunov(patch)
+            new_values, fluxes = step_nonlinear(grid, extended, b, PARAMS, dt)
+        expected_values, expected_fluxes = _godunov_step(grid, extended, b, PARAMS, dt)
+        assert godunov_calls == []
+        assert fluxes.tobytes() == expected_fluxes.tobytes()
+        assert new_values.tobytes() == expected_values.tobytes()
+
+    @pytest.mark.parametrize(
+        "where", ["upstream ghost", "interior cell", "downstream ghost", "NaN cell"]
+    )
+    def test_a_value_above_the_margin_takes_the_godunov_flux(self, monkeypatch, where):
+        grid = make_grid(2000.0, 8)
+        extended = np.full(10, 0.05)
+        index = {"upstream ghost": 0, "interior cell": 4, "downstream ghost": -1, "NaN cell": 3}
+        extended[index[where]] = np.nan if where == "NaN cell" else np.nextafter(
+            FREE_FLOW_LIMIT, 1.0
+        )
+        b = np.linspace(0.5, 1.5, 9)
+        godunov_calls = _counted_godunov(monkeypatch)
+        new_values, fluxes = step_nonlinear(grid, extended, b, PARAMS, 0.1)
+        expected_values, expected_fluxes = _godunov_step(grid, extended, b, PARAMS, 0.1)
+        assert godunov_calls == [1]
+        assert fluxes.tobytes() == expected_fluxes.tobytes()
+        assert new_values.tobytes() == expected_values.tobytes()
 
     def test_discrete_conservation(self):
         grid = make_grid(2000.0, 40)
