@@ -11,6 +11,7 @@ empty document yields the full reference configuration.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -135,6 +136,18 @@ def _merge_section(section: str, given: dict) -> dict:
     return merged
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's pure-Python safe loader, reading 5e-5 and 1e3 as YAML 1.2 floats."""
+
+
+# the YAML 1.1 resolver takes a float only with a '.' and a signed exponent
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a YAML document into a RunConfig, applying defaults.
 
@@ -145,7 +158,7 @@ def parse_config(text: str) -> RunConfig:
     rates left unset default to boundary_ramp's.
     """
     try:
-        document = yaml.safe_load(text)
+        document = yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: int literal over 4,300 digits
         raise ConfigError(f"malformed config: {exc}") from None
     if document is None:

@@ -5,8 +5,9 @@ u(rho) = b * u_max * (1 - rho/rho_max) and the flux q = rho * u stays a
 concave parabola with its maximum at the critical density rho_max/2 for
 every b >= 0.
 
-The relations do not check their arguments, which Scenario and the density
-check of run_simulation keep in range (rho in [0, rho_max], b >= 0).
+Each relation is written once and allocates its result. The relations do
+not check their arguments, which Scenario and the density check of
+run_simulation keep in range (rho in [0, rho_max], b >= 0).
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from .params import TrafficParams
 
 ArrayLike = float | np.ndarray
 # 1.0 as a 0-d array: numpy converts a Python float operand on every call, and the
-# in-place flux runs on every nonlinear step
+# flux runs on every nonlinear step
 _ONE = np.array(1.0)
 
 
 def equilibrium_speed(rho: ArrayLike, params: TrafficParams) -> ArrayLike:
     """Greenshield speed u_max * (1 - rho/rho_max)."""
-    return params.u_max * (1.0 - rho / params.rho_max)
+    return params.u_max * (_ONE - rho / params.rho_max)
 
 
 def vsl_speed(rho: ArrayLike, b: ArrayLike, params: TrafficParams) -> ArrayLike:
@@ -31,21 +32,9 @@ def vsl_speed(rho: ArrayLike, b: ArrayLike, params: TrafficParams) -> ArrayLike:
     return b * equilibrium_speed(rho, params)
 
 
-def flux(
-    rho: ArrayLike, b: ArrayLike, params: TrafficParams, out: np.ndarray | None = None
-) -> ArrayLike:
-    """Traffic flow q = rho * u [cars/s]; zero at rho = 0 and rho_max.
-
-    With out, an array of the broadcast shape that overlaps neither rho
-    nor b, the same operations run in place there and out is returned.
-    """
-    if out is None:
-        return rho * vsl_speed(rho, b, params)
-    np.divide(rho, params.rho_max, out)
-    np.subtract(_ONE, out, out)
-    np.multiply(params.u_max, out, out)
-    np.multiply(b, out, out)
-    return np.multiply(rho, out, out)
+def flux(rho: ArrayLike, b: ArrayLike, params: TrafficParams) -> ArrayLike:
+    """Traffic flow q = rho * u [cars/s]; zero at rho = 0 and rho_max."""
+    return rho * vsl_speed(rho, b, params)
 
 
 def characteristic_speed(rho: ArrayLike, b: ArrayLike, params: TrafficParams) -> ArrayLike:

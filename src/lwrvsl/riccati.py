@@ -23,9 +23,9 @@ an independent numerical oracle for the closed form.
 assemble_problem is the one place V and B0 are computed: a run's
 RiccatiProblem designs the gain and is also the linear plant that
 step_linear advances. control_field and integrate_vsl, which run on
-every closed-loop step, concatenate nothing and take a numpy-style out=,
-so that a run writes each step's control and profile into buffers it
-allocates once.
+every closed-loop step, concatenate nothing and write into a buffer
+their caller owns, so that a run writes each step's control and profile
+into buffers it allocates once.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ def assemble_problem(params: TrafficParams, q0: float, r0: float = 1.0) -> Ricca
     """Build the scalar LQ coefficients from the traffic equilibrium."""
     return RiccatiProblem(
         v_coef=-characteristic_speed(params.rho_0, params.b_0, params),
-        b0_coef=-flux(params.rho_0, 1.0, params),
+        # flux of a float is a numpy scalar, on which the oracle's loop runs 3x slower
+        b0_coef=-float(flux(params.rho_0, 1.0, params)),
         q0=q0,
         r0=r0,
         length=params.road_length,
@@ -117,23 +118,20 @@ def feedback_gain(z: np.ndarray | float, problem: RiccatiProblem) -> np.ndarray 
     return -problem.b0_coef * phi_closed_form(z, problem) / problem.r0
 
 
-def _interface_state(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _interface_state(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     # interior interfaces average the adjacent cells; boundary interfaces are one-sided
-    state = np.empty(values.size + 1) if out is None else out
-    state[0], state[-1] = values[0], values[-1]
-    interior = np.add(values[:-1], values[1:], state[1:-1])
+    out[0], out[-1] = values[0], values[-1]
+    interior = np.add(values[:-1], values[1:], out[1:-1])
     np.multiply(interior, _HALF, interior)
-    return state
+    return out
 
 
-def control_field(
-    delta_rho: np.ndarray, gain: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def control_field(delta_rho: np.ndarray, gain: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-interface control u_opt = K0(z) drho(z) from the cell perturbations.
 
     gain is feedback_gain at the grid interfaces, which a run computes
     once. The control is written into out, of size delta_rho.size + 1,
-    when it is given, and into a new array otherwise.
+    and out is returned.
     """
     state = _interface_state(delta_rho, out)
     return np.multiply(gain, state, state)
@@ -148,7 +146,7 @@ def control_field_explicit(
     without composing feedback_gain with phi_closed_form; kept as a
     second, independent code path for cross-checking.
     """
-    state = _interface_state(delta_rho)
+    state = _interface_state(delta_rho, np.empty(delta_rho.size + 1))
     root_ratio = math.sqrt(problem.q0 / problem.r0)
     e = np.exp(
         2.0
@@ -164,8 +162,8 @@ def integrate_vsl(
     u_opt: np.ndarray,
     b0: float,
     grid: Grid1D,
-    clamp: tuple[float, float] = DEFAULT_B_CLAMP,
-    out: np.ndarray | None = None,
+    clamp: tuple[float, float],
+    out: np.ndarray,
 ) -> np.ndarray:
     """Integrate u = db/dz into a speed-limit profile anchored at b(0) = b0.
 
@@ -173,16 +171,11 @@ def integrate_vsl(
     elementwise clamp to [b_min, b_max], which must straddle b0 (Scenario
     checks this at entry). Zero control therefore reproduces the
     uncontrolled profile b = b0 exactly. The profile is written into out,
-    of u_opt's size and not overlapping it, when it is given; otherwise
-    it is a new array, returned read-only.
+    of u_opt's size and not overlapping it, and out is returned.
     """
     increments = np.add(u_opt[:-1], u_opt[1:])
     np.multiply(increments, 0.5 * grid.dz, increments)
-    profile = np.empty(u_opt.size) if out is None else out
-    profile[0] = 0.0
-    np.add.accumulate(increments, out=profile[1:])
-    np.add(profile, b0, profile)
-    profile.clip(*clamp, out=profile)
-    if out is None:
-        profile.setflags(write=False)
-    return profile
+    out[0] = 0.0
+    np.add.accumulate(increments, out=out[1:])
+    np.add(out, b0, out)
+    return out.clip(*clamp, out=out)

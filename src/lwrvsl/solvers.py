@@ -18,11 +18,10 @@ in the same kind: Dirichlet upstream (valid while characteristics enter
 from the left, guaranteed in free flow) and zero-gradient downstream.
 apply_boundary alone writes that policy, refilling a buffer its caller
 allocates once per march. Each stepper takes the grid and that extended
-array, leaves it unchanged, and returns (new_values, interface_fluxes),
-the only arrays a free-flow nonlinear step allocates. The steppers raise
-nothing: a caller owns the CFL condition by taking dt from stable_dt, and
-run_simulation checks the density bound after every step. The in-place
-ufunc calls on a step's path (here, in flux, and in riccati's
+array, leaves it unchanged, and returns (new_values, interface_fluxes).
+The steppers raise nothing: a caller owns the CFL condition by taking dt
+from stable_dt, and run_simulation checks the density bound after every
+step. The in-place ufunc calls on a step's path (here, and in riccati's
 control_field and integrate_vsl) pass out positionally, which numpy
 parses faster than the keyword.
 """
@@ -135,7 +134,7 @@ def step_nonlinear(
     left = extended[:-1]
     # argmax finds the largest value, or the first NaN, in a fraction of a reduction's time
     if extended.item(extended.argmax()) <= FREE_FLOW_MARGIN * critical_density(params):
-        fluxes = flux(left, b_profile, params, out=np.empty(left.size))
+        fluxes = flux(left, b_profile, params)
     else:
         fluxes = godunov_interface_flux(left, extended[1:], b_profile, params)
     new_values = np.subtract(fluxes[1:], fluxes[:-1])

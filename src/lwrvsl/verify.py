@@ -154,7 +154,8 @@ def check_feedback_paths() -> CheckResult:
         gaps = []
         for q0 in REFERENCE_Q0_VALUES:
             problem = assemble_problem(scenario.params, q0, r0)
-            composed = control_field(delta, feedback_gain(grid.interfaces, problem))
+            gain = feedback_gain(grid.interfaces, problem)
+            composed = control_field(delta, gain, np.empty(grid.n_cells + 1))
             explicit = control_field_explicit(delta, problem, grid)
             gaps.append(float(np.max(np.abs(composed - explicit)) / np.max(np.abs(composed))))
         details.append(f"r0={r0:g}: {max(gaps):.3e}")

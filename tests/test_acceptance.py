@@ -117,7 +117,8 @@ class TestAcceptance:
         delta = initial_condition(grid.cell_centers, scenario) - scenario.params.rho_0
         for q0 in REFERENCE_Q0_VALUES:
             problem = assemble_problem(scenario.params, q0)
-            composed = control_field(delta, feedback_gain(grid.interfaces, problem))
+            gain = feedback_gain(grid.interfaces, problem)
+            composed = control_field(delta, gain, np.empty(grid.n_cells + 1))
             explicit = control_field_explicit(delta, problem, grid)
             gap = float(
                 np.max(np.abs(composed - explicit)) / np.max(np.abs(composed))

@@ -167,6 +167,20 @@ def test_solo_run_passes_its_own_gate(bench, model):
     }
 
 
+def test_sweep_passes_its_own_gate(bench, tmp_path, monkeypatch):
+    # the gate reads params.rho_max_per_km, the density range and the mass-balance
+    # defect from each member's summary.json; a renamed key fails every cli_sweep op
+    monkeypatch.setattr(bench, "WORK", tmp_path)
+    config = tmp_path / "config-cli_sweep.yaml"
+    config.write_text(bench.config_text(bench.make_inputs(1), "nonlinear") + (
+        "params:\n  sim_time_s: 6\nnumerics:\n  n_cells: 24\n"
+    ))
+    sweep = bench.CliSweep(lwrvsl, config, (1e-5, 5e-4))
+    digests, problems = sweep.check(sweep.run())
+    assert problems == []
+    assert set(digests) == sweep.expected
+
+
 def test_verify_passes_the_bench_gate(bench):
     suite = bench.VerifySuite(lwrvsl)
     digests, problems = suite.check(suite.run())

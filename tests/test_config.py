@@ -348,6 +348,25 @@ class TestTypedSchema:
         with pytest.raises(ConfigError, match="^numerics.n_cells must be an integer, got 10.5$"):
             _parse("params: {rho_0_per_km: 90}\nnumerics: {n_cells: 10.5}\n")
 
+    def test_exponent_floats_are_numbers(self):
+        # YAML 1.2 floats: PyYAML's YAML 1.1 resolver read a mantissa without a '.' as a string
+        for exponent, dotted in (
+            ("control: {q0: 5e-5}", "control: {q0: 5.0e-5}"),
+            ("control: {q0: 5e-05}", "control: {q0: 0.00005}"),
+            ("params: {road_length_m: 2e3}", "params: {road_length_m: 2000.0}"),
+            ("scenario: {bc_decay_rate_per_s: 2E-6}", "scenario: {bc_decay_rate_per_s: 2.0e-6}"),
+        ):
+            assert _parse(exponent + "\n") == _parse(dotted + "\n")
+        config = _parse("numerics: {n_cells: 4e2}\n")
+        assert type(config.scenario.n_cells) is int
+        assert config.scenario.n_cells == 400
+
+    def test_quoted_and_overflowing_exponent_floats_are_rejected(self):
+        with pytest.raises(ConfigError, match="^control.q0 must be a number, got '5e-5'$"):
+            _parse("control: {q0: '5e-5'}\n")
+        with pytest.raises(ConfigError, match="^q0 must be finite and positive, got inf$"):
+            _parse("control: {q0: 2e308}\n")
+
     def test_declared_messages(self):
         with pytest.raises(ConfigError, match="^output.dir must be a non-empty string, got ''$"):
             _parse("output: {dir: ''}\n")
@@ -385,8 +404,7 @@ class TestGeneratedRejections:
     )
     def test_rejected_before_any_run(self, model, case, tmp_path, monkeypatch, capsys):
         scale = 1.0 if isinstance(case, tuple) else case
-        # a mantissa with a '.' keeps PyYAML from reading 5e-05 as a string
-        fields = {key: format(value * scale, ".17e") for key, value in SCALED_DATA.items()}
+        fields = {key: repr(value * scale) for key, value in SCALED_DATA.items()}
         if isinstance(case, tuple):
             fields[case[0]] = case[1]
         text = f"scenario:\n  model: {model}\n" + "".join(

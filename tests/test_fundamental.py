@@ -91,22 +91,6 @@ class TestFlux:
         assert 0.0 <= q <= capacity * (1.0 + 1e-12) + 1e-300
 
 
-    @settings(max_examples=200, derandomize=True)
-    @given(
-        rho=st.lists(densities, min_size=1, max_size=40),
-        b=st.lists(vsl_rates, min_size=1, max_size=40),
-    )
-    def test_out_takes_the_same_operations(self, rho, b):
-        # the in-place form writes each step's fluxes into a buffer; it must give
-        # the bytes of the allocating form, for an array rate and a scalar one
-        size = min(len(rho), len(b))
-        rho, b = np.array(rho[:size]), np.array(b[:size])
-        for rate in (b, float(b[0])):
-            out = np.full(size, np.nan)
-            assert flux(rho, rate, PARAMS, out=out) is out
-            assert out.tobytes() == flux(rho, rate, PARAMS).tobytes()
-
-
 class TestCharacteristicSpeed:
     def test_reference_values(self):
         assert characteristic_speed(0.05, 1.0, PARAMS) == 11.979166666666666

@@ -241,12 +241,12 @@ def _reference_run(scenario, frame_interval, cfl=REFERENCE_CFL):
     def control(values):
         if not scenario.control_enabled:
             return np.zeros(grid.n_cells + 1)
-        return control_field(values - (p.rho_0 - base), gain)
+        return control_field(values - (p.rho_0 - base), gain, np.empty(grid.n_cells + 1))
 
     def vsl_profile(u_opt):
         if not scenario.control_enabled:
             return np.full(grid.n_cells + 1, p.b_0)
-        return integrate_vsl(u_opt, p.b_0, grid, scenario.clamp)
+        return integrate_vsl(u_opt, p.b_0, grid, scenario.clamp, np.empty(grid.n_cells + 1))
 
     times = [0.0]
     while len(times) == 1 or times[-1] < p.sim_time - 1e-9:
@@ -534,7 +534,9 @@ class TestRunSimulation:
         assert len(history.times) == 3
         assert np.any(history.vsl_frames != scenario.params.b_0)
         for u_opt, profile in zip(history.control_frames, history.vsl_frames):
-            expected = integrate_vsl(u_opt, scenario.params.b_0, scenario.grid, scenario.clamp)
+            expected = integrate_vsl(
+                u_opt, scenario.params.b_0, scenario.grid, scenario.clamp, np.empty(u_opt.size)
+            )
             assert profile.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("model", ["linear", "nonlinear"])
