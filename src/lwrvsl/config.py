@@ -136,8 +136,13 @@ def _merge_section(section: str, given: dict) -> dict:
     return merged
 
 
-class _Loader(yaml.SafeLoader):
-    """PyYAML's pure-Python safe loader, reading 5e-5 and 1e3 as YAML 1.2 floats."""
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """PyYAML's safe loader, reading 5e-5 and 1e3 as YAML 1.2 floats.
+
+    The libyaml loader where PyYAML was built with libyaml, else the
+    pure-Python one: both read the same values, but word their syntax
+    errors differently (libyaml without the pure-Python source excerpt).
+    """
 
 
 # the YAML 1.1 resolver takes a float only with a '.' and a signed exponent

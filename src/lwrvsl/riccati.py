@@ -23,9 +23,10 @@ an independent numerical oracle for the closed form.
 assemble_problem is the one place V and B0 are computed: a run's
 RiccatiProblem designs the gain and is also the linear plant that
 step_linear advances. control_field and integrate_vsl, which run on
-every closed-loop step, concatenate nothing and write into a buffer
-their caller owns, so that a run writes each step's control and profile
-into buffers it allocates once.
+every closed-loop step (integrate_vsl only on the nonlinear plant; the
+linear one integrates all its frames in one call), concatenate nothing
+and write into a buffer their caller owns, so that a run writes each
+step's control and profile into buffers it allocates once.
 """
 
 from __future__ import annotations
@@ -170,12 +171,14 @@ def integrate_vsl(
     Trapezoidal cumulative integral over the interfaces, then an
     elementwise clamp to [b_min, b_max], which must straddle b0 (Scenario
     checks this at entry). Zero control therefore reproduces the
-    uncontrolled profile b = b0 exactly. The profile is written into out,
-    of u_opt's size and not overlapping it, and out is returned.
+    uncontrolled profile b = b0 exactly. The integral runs along the last
+    axis, so a (frames, n + 1) matrix of controls gives each row's profile
+    bitwise as its own 1-D call does. The profile is written into out, of
+    u_opt's shape and not overlapping it, and out is returned.
     """
-    increments = np.add(u_opt[:-1], u_opt[1:])
+    increments = np.add(u_opt[..., :-1], u_opt[..., 1:])
     np.multiply(increments, 0.5 * grid.dz, increments)
-    out[0] = 0.0
-    np.add.accumulate(increments, out=out[1:])
+    out[..., 0] = 0.0
+    np.add.accumulate(increments, axis=-1, out=out[..., 1:])
     np.add(out, b0, out)
     return out.clip(*clamp, out=out)

@@ -20,18 +20,25 @@ from n_cells; q0_members does the same for a list of q0 values.
 stable_dt fixes the step size, and run_simulation refuses a run whose
 frames or cell updates exceed MAX_FRAME_VALUES or MAX_CELL_UPDATES
 before it builds anything. The loop checks only each step's density
-bound, on Python floats. Every step writes into arrays the run allocates
-once: apply_boundary refills the ghost-extended buffer, and control_field
-and integrate_vsl write the control and the VSL profile through their
-out= arguments; a step allocates only the stepper's new state and
-fluxes and a few temporaries inside the kernels.
+bound, on Python floats. The run lists its steps (start time, dt, frame)
+STEP_BLOCK at a time and evaluates upstream_boundary once over each
+block's start times. Every step writes into arrays the run allocates
+once: it reads one of two ghost-extended buffers, whose two ghosts
+apply_boundary writes, and the stepper writes the new state into the
+cells of the other; control_field and integrate_vsl write the control
+and the VSL profile through their out= arguments. A linear step writes
+only into the run's buffers; a free-flow nonlinear one also allocates
+its fluxes and the temporaries of flux and integrate_vsl. At a frame the
+loop copies the state and the control; after the loop one call each
+derives the absolute density, the VSL frames and the car counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +50,10 @@ from .params import (
 from .riccati import (
     DEFAULT_B_CLAMP, assemble_problem, control_field, feedback_gain, integrate_vsl,
 )
-from .solvers import SolverError, apply_boundary, stable_dt, step_linear, step_nonlinear
+from .solvers import (
+    Ghosted, SolverError, apply_boundary, ghosted, linear_coefficients, nonlinear_coefficients,
+    stable_dt, step_linear, step_nonlinear,
+)
 
 MODELS = ("linear", "nonlinear")
 
@@ -69,6 +79,8 @@ REFERENCE_CADENCE = 0.5  # s
 REFERENCE_Q0_VALUES = (1e-6, 1e-5, 5e-5, 5e-4)
 # regulation band: the car count counts as on target within 5% of rho_0 * L
 TARGET_TOLERANCE = 0.05
+# the steps run_simulation lists, with their boundary values, at a time
+STEP_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -226,22 +238,28 @@ def initial_condition(z: np.ndarray | float, scenario: Scenario) -> np.ndarray |
     return p.rho_0 + amplitude * np.sin(np.pi * z_arr / p.road_length)
 
 
-def upstream_boundary(t: float, scenario: Scenario) -> float:
+def upstream_boundary(t: np.ndarray | float, scenario: Scenario) -> np.ndarray | float:
     """Upstream density rho_0 + A_b exp(-kappa t) sin(pi t / P) + gamma t, cars/m.
 
-    t is not checked; Scenario bounds the density for t in [0, sim_time].
-    numpy evaluates exp and sin; the rest is float arithmetic.
+    t is a time or an array of times, and is not checked; Scenario bounds
+    the density for t in [0, sim_time]. numpy evaluates exp and sin per
+    element, so an array of times gives, bitwise, the value of each time
+    on its own.
     """
     osc_amp = scenario.bc_osc_amplitude / M_PER_KM
     growth = scenario.bc_growth_rate / M_PER_KM
-    decay = float(np.exp(-scenario.bc_decay_rate * t))
-    wave = float(np.sin(np.pi * t / scenario.bc_osc_period))
+    decay = np.exp(-scenario.bc_decay_rate * t)
+    wave = np.sin(np.pi * t / scenario.bc_osc_period)
     return scenario.params.rho_0 + osc_amp * decay * wave + growth * t
 
 
-def total_cars(rho: np.ndarray, grid: Grid1D) -> float:
-    """Spatial integral of the absolute density over the road: sum rho_i dz, in cars."""
-    return float(np.add.reduce(rho) * grid.dz)
+def total_cars(rho: np.ndarray, grid: Grid1D) -> np.ndarray | float:
+    """Spatial integral of the absolute density over the road: sum rho_i dz, in cars.
+
+    The sum runs along the last axis, so a (frames, cells) matrix gives
+    each row's count bitwise as its own 1-D call does.
+    """
+    return np.add.reduce(rho, axis=-1) * grid.dz
 
 
 def target_cars(params: TrafficParams) -> float:
@@ -276,8 +294,11 @@ def mass_balance_defect(history: SimulationHistory) -> tuple[float, float]:
     return float(defect), float(abs(defect) / totals[0])
 
 
-def _check_density(state: np.ndarray, base: float, t: float, scenario: Scenario) -> None:
-    """Raise SolverError unless every density state + base lies in [0, rho_max]; NaN fails."""
+def _check_density(state: np.ndarray, base: float, t: float, scenario: Scenario) -> float:
+    """Raise SolverError unless every density state + base lies in [0, rho_max]; NaN fails.
+
+    Returns the largest density, max(state) + base.
+    """
     # rounding is monotone, so min(state) + base is the minimum of state + base. argmin
     # and argmax find the first NaN, if any, and take a fraction of a reduction's time
     low = state.item(state.argmin()) + base
@@ -287,6 +308,52 @@ def _check_density(state: np.ndarray, base: float, t: float, scenario: Scenario)
             f"density left [0, rho_max] in the {scenario.model} run at t={t}: "
             f"min={low}, max={high}"
         )
+    return high
+
+
+def _step_blocks(
+    times: list[float], dt_fixed: float, ghosts: Callable[[list[float]], list[float]]
+) -> Iterator[tuple[Iterator[tuple[float, float, float]], int | None]]:
+    """The steps of a run in the float arithmetic of a step-by-step march.
+
+    A step starts at the end of the one before and takes dt_fixed, but the
+    step that reaches a frame instant of times is cut to land on it
+    exactly. The steps are listed STEP_BLOCK at a time, and ghosts maps
+    each block's start times to its boundary values in one call, so what a
+    run holds of its schedule is bounded whatever its step count. Yields
+    (steps, row) in order: steps gives (ghost, dt, end) of consecutive
+    steps, and row is the frame the last of them reaches, else None. The
+    first steps are none, with row 0: the initial state.
+    """
+    starts: list[float] = []
+    dts: list[float] = []
+    marks: list[tuple[int, int]] = []  # (steps listed, row) at each frame reached
+    t = 0.0
+    for row, next_frame in enumerate(times):
+        while t < next_frame:
+            if len(starts) == STEP_BLOCK:
+                yield from _split_at_frames(ghosts(starts), dts, [*starts[1:], t], marks)
+                starts, dts, marks = [], [], []
+            at_frame = t + dt_fixed >= next_frame - 1e-12
+            dt = next_frame - t if at_frame else dt_fixed
+            starts.append(t)
+            dts.append(dt)
+            t = next_frame if at_frame else t + dt
+        marks.append((len(starts), row))
+    yield from _split_at_frames(ghosts(starts), dts, [*starts[1:], t], marks)
+
+
+def _split_at_frames(
+    ghosts: list[float], dts: list[float], ends: list[float], marks: list[tuple[int, int]]
+) -> Iterator[tuple[Iterator[tuple[float, float, float]], int | None]]:
+    """One block of _step_blocks, cut after each frame it reaches."""
+    steps = zip(ghosts, dts, ends)
+    first = 0
+    for last, row in marks:
+        yield itertools.islice(steps, last - first), row
+        first = last
+    if first < len(dts):
+        yield steps, None
 
 
 def run_simulation(
@@ -299,20 +366,24 @@ def run_simulation(
     The run's RiccatiProblem is assembled once: it gives the feedback
     gain K0 at the interfaces (when control is on) and the linear plant's
     coefficients. The model is read once, before the loop, which binds
-    each plant's state shift, stepper and the buffer that stepper reads
-    (see the comments there). Per step: refill the run's ghost buffer at
-    the current time, take one explicit step, stop with SolverError if
+    each plant's state shift, stepper and the coefficients that stepper
+    reads (see the comments there). Per step: write the ghosts of the
+    buffer holding the state, with the boundary value at the step's start,
+    take one explicit step into the other buffer, stop with SolverError if
     the density left [0, rho_max], and recompute the control from the
     new perturbation field (when enabled) for the next step, in buffers
     allocated once per run. The step size, shared by both plants, is
     stable_dt on the worst-case wave speed b_cap * u_max (b_cap being the
     clamp ceiling when control is on, else b_0), shortened only to land
     exactly on frame instants. The frame instants, every frame_interval
-    seconds and at T, are listed first; one row of density, VSL rate,
-    control and total cars is filled at each. A run whose frame matrices
-    would hold more than MAX_FRAME_VALUES values, or whose ceil(T / dt)
-    fixed steps would take more than MAX_CELL_UPDATES cell updates,
-    raises ValueError before any array, or the frame list, is built.
+    seconds and at T, are listed first; the steps and their boundary
+    values follow, STEP_BLOCK steps at a time, as the march goes. At each
+    frame the state and the control fill one row; the density, the VSL
+    rate and the total cars of every row follow after the last step. A
+    run whose frame matrices would hold more than MAX_FRAME_VALUES
+    values, or whose ceil(T / dt) fixed steps would take more than
+    MAX_CELL_UPDATES cell updates, raises ValueError before any array, or
+    the frame list, is built.
     """
     require_positive("frame_interval", frame_interval)
     p = scenario.params
@@ -336,82 +407,84 @@ def run_simulation(
     problem = assemble_problem(p, scenario.q0, scenario.r0)
     gain = feedback_gain(grid.interfaces, problem) if scenario.control_enabled else None
 
-    # The run's buffers, each overwritten in place: the ghost-extended state, the
-    # control and the VSL profile; with control off the last two stay 0 and b_0. The
-    # scalars read on every step are 0-d arrays: numpy converts a Python float operand
-    # on every call.
-    extended = np.empty(n + 2)
+    # The run's buffers, each overwritten in place: two ghost-extended states, one read
+    # and the other written by each step, the control and the VSL profile; with control
+    # off the last two stay 0 and b_0. The frame matrices take rows as the march goes.
+    current, target = ghosted(n), ghosted(n)
     u_opt = np.zeros(n + 1)
     b_profile = np.full(n + 1, p.b_0)
     b_0, clamp = np.array(p.b_0), tuple(map(np.array, scenario.clamp))
+    # the frame instants: 0, then min(k * frame_interval, T) until T is reached
+    times = [0.0]
+    while len(times) == 1 or times[-1] < p.sim_time - 1e-9:
+        times.append(min(len(times) * frame_interval, p.sim_time))
+    density_frames = np.empty((len(times), n))
+    vsl_frames = np.empty((len(times), n + 1))
+    control_frames = np.empty((len(times), n + 1))
 
-    # The one plant choice. The plant's state is rho - base, and its stepper reads
-    # drive, one of the buffers above. refresh(state) brings u_opt, and drive with it,
-    # up to date after a step; frame_profile() brings b_profile up to date for a frame.
+    # The one plant choice. The plant's state is rho - base, and its stepper reads the
+    # per-run coefficients, which hold its constants and views of the buffers above.
+    # advance(current, target, dt, peak) takes one step, and refresh(state) brings u_opt,
+    # and the profile with it, up to date after a step.
     if scenario.model == "linear":
         # the perturbation, stepped with V and B0 of the problem on the control itself:
-        # the VSL profile is integrated only where a frame records it
-        base, stepper, coefficients, drive = p.rho_0, step_linear, problem, u_opt
+        # the VSL profiles are integrated only for the frames, after the march
+        base, stepper = p.rho_0, step_linear
+        coefficients = linear_coefficients(problem, u_opt, grid, dt_fixed)
+
+        def advance(current: Ghosted, target: Ghosted, dt: float, peak: float) -> np.ndarray:
+            return stepper(grid, current, target.cells, coefficients, dt)
 
         def refresh(state: np.ndarray) -> None:
             control_field(state, gain, out=u_opt)
-
-        def frame_profile() -> None:
-            integrate_vsl(u_opt, b_0, grid, clamp, out=b_profile)
     else:
         # the absolute density, stepped on the VSL profile of every step's control; the
         # control reads the perturbation rho - rho_0 from a buffer of its own
-        base, stepper, coefficients, drive = 0.0, step_nonlinear, p, b_profile
+        base, stepper = 0.0, step_nonlinear
+        coefficients = nonlinear_coefficients(p, b_profile, grid, dt_fixed)
         perturbation, rho_0 = np.empty(n), np.array(p.rho_0)
+
+        def advance(current: Ghosted, target: Ghosted, dt: float, peak: float) -> np.ndarray:
+            return stepper(grid, current, target.cells, coefficients, dt, peak)
 
         def refresh(state: np.ndarray) -> None:
             control_field(np.subtract(state, rho_0, perturbation), gain, out=u_opt)
             integrate_vsl(u_opt, b_0, grid, clamp, out=b_profile)
 
-        frame_profile = (lambda: None)  # the profile of every step is already there
-
     if gain is None:
-        refresh, frame_profile = (lambda state: None), (lambda: None)
+        refresh = (lambda state: None)
 
-    state = initial_condition(grid.cell_centers, scenario) - base
+    def ghosts(starts: list[float]) -> list[float]:
+        return (upstream_boundary(np.array(starts), scenario) - base).tolist()
 
-    # the frame instants: 0, then min(k * frame_interval, T) until T is reached
-    times = [0.0]
-    while len(times) == 1 or times[-1] < p.sim_time - 1e-9:
-        times.append(min(len(times) * frame_interval, p.sim_time))
-    n_frames = len(times)
-    density_frames = np.empty((n_frames, n))
-    vsl_frames = np.empty((n_frames, n + 1))
-    control_frames = np.empty((n_frames, n + 1))
-    totals = np.empty(n_frames)
+    np.subtract(initial_condition(grid.cell_centers, scenario), base, current.cells)
+    peak = _check_density(current.cells, base, 0.0, scenario)
+    refresh(current.cells)
     inflow = 0.0
     outflow = 0.0
-
-    refresh(state)
-    t = 0.0
-    for row, next_frame in enumerate(times):
-        while t < next_frame:  # the step that reaches next_frame sets t to it exactly
-            at_frame = t + dt_fixed >= next_frame - 1e-12
-            dt = next_frame - t if at_frame else dt_fixed
-            apply_boundary(extended, state, upstream_boundary(t, scenario) - base)
-            state, fluxes = stepper(grid, extended, drive, coefficients, dt)
+    for steps, row in _step_blocks(times, dt_fixed, ghosts):
+        for ghost, dt, t in steps:
+            apply_boundary(current.values, ghost)
+            fluxes = advance(current, target, dt, peak)
             inflow += dt * fluxes.item(0)
             outflow += dt * fluxes.item(-1)
-            t = next_frame if at_frame else t + dt
-            _check_density(state, base, t, scenario)
+            peak = _check_density(target.cells, base, t, scenario)
             # the control of the new state drives the next step and, at a frame, is recorded
-            refresh(state)
-        np.add(state, base, out=density_frames[row])
-        frame_profile()
-        vsl_frames[row] = b_profile
-        control_frames[row] = u_opt
-        totals[row] = total_cars(density_frames[row], grid)
+            refresh(target.cells)
+            current, target = target, current
+        if row is not None:
+            density_frames[row] = current.cells
+            control_frames[row] = u_opt
+    # each row's VSL profile is integrated from its control, as the nonlinear march does
+    # it bitwise; with control off, zeros integrate to b_0 exactly
+    np.add(density_frames, base, density_frames)
+    integrate_vsl(control_frames, b_0, grid, clamp, out=vsl_frames)
     return SimulationHistory(
         times=np.array(times),
         density_frames=density_frames,
         vsl_frames=vsl_frames,
         control_frames=control_frames,
-        total_cars_series=totals,
+        total_cars_series=total_cars(density_frames, grid),
         inflow_cars=inflow,
         outflow_cars=outflow,
         scenario=scenario,

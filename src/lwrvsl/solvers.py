@@ -13,20 +13,31 @@ Two explicit first-order schemes share the grid and boundary plumbing:
   while every value lies at or below FREE_FLOW_MARGIN * rho_c.
 
 States are plain 1-D arrays: drho for the linear plant, rho for the
-nonlinear one. A stepper takes the state with one ghost cell at each end,
+nonlinear one. A stepper reads the state with one ghost cell at each end,
 in the same kind: Dirichlet upstream (valid while characteristics enter
 from the left, guaranteed in free flow) and zero-gradient downstream.
-apply_boundary alone writes that policy, refilling a buffer its caller
-allocates once per march. Each stepper takes the grid and that extended
-array, leaves it unchanged, and returns (new_values, interface_fluxes).
-The steppers raise nothing: a caller owns the CFL condition by taking dt
-from stable_dt, and run_simulation checks the density bound after every
-step. The in-place ufunc calls on a step's path (here, and in riccati's
+The state lives in a Ghosted buffer of n + 2 values, whose views are
+built once; apply_boundary alone writes that policy, into the two ghosts
+of the buffer in place. A stepper takes the grid, that buffer, an out
+array for the new state and the run's coefficients (its constants and
+views of its control, profile and flux buffers, built once per run by
+linear_coefficients or nonlinear_coefficients) and dt. It leaves the
+buffer unchanged, writes the new state into out, and returns the
+interface fluxes. run_simulation marches two buffers in turn: each step
+reads one and writes into the cells of the other. The steppers raise
+nothing: a caller owns the CFL condition by taking dt from stable_dt,
+and run_simulation checks the density bound after every step. The
+in-place ufunc calls on a step's path (here, and in riccati's
 control_field and integrate_vsl) pass out positionally, which numpy
-parses faster than the keyword.
+parses faster than the keyword, and the scalars they read are 0-d
+arrays, which numpy does not convert on every call as it does a Python
+float.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,46 +67,107 @@ def stable_dt(dz: float, wave_speed: float, cfl: float) -> float:
     return cfl * dz / wave_speed
 
 
-def apply_boundary(
-    extended: np.ndarray, values: np.ndarray, upstream_value: float
-) -> np.ndarray:
-    """Refill extended, of size values.size + 2, in place and return it.
+class Ghosted(NamedTuple):
+    """A ghost-extended buffer of n + 2 values and the views of it a step reads.
 
-    It holds upstream_value in front, then the cells, then the last cell
-    repeated. upstream_value is in the kind of values: a perturbation for
-    the linear plant, an absolute density for the nonlinear one.
+    values holds the upstream ghost, the n cells and the downstream ghost;
+    left is values[:-1], the left state of every interface, and cells is
+    values[1:-1]. ghosted builds one; a march builds two and swaps them.
+    """
+
+    values: np.ndarray
+    left: np.ndarray
+    cells: np.ndarray
+
+
+def ghosted(n_cells: int) -> Ghosted:
+    """An unfilled ghost-extended buffer for n_cells cells, with its views."""
+    values = np.empty(n_cells + 2)
+    return Ghosted(values, values[:-1], values[1:-1])
+
+
+def apply_boundary(extended: np.ndarray, upstream_value: float) -> np.ndarray:
+    """Write the two ghosts of extended in place around its cells, and return it.
+
+    upstream_value goes in front and the last cell is repeated behind.
+    upstream_value is in the kind of the cells: a perturbation for the
+    linear plant, an absolute density for the nonlinear one.
     """
     extended[0] = upstream_value
-    extended[1:-1] = values
-    extended[-1] = values[-1]
+    extended[-1] = extended[-2]
     return extended
+
+
+@dataclass(frozen=True, slots=True)
+class LinearCoefficients:
+    """What step_linear reads on every step of one run; built by linear_coefficients.
+
+    neg_v = -V and half_b0 = B0 / 2 of the run's RiccatiProblem, as 0-d
+    arrays; dt_fixed, the run's fixed step, with dt and dt_dz = dt / dz of
+    it as 0-d arrays; u_left and u_right are the halves of the run's control
+    buffer, fluxes the run's interface-flux buffer with its halves, and
+    source a scratch array.
+    """
+
+    neg_v: np.ndarray
+    half_b0: np.ndarray
+    dt_fixed: float
+    dt: np.ndarray
+    dt_dz: np.ndarray
+    u_left: np.ndarray
+    u_right: np.ndarray
+    fluxes: np.ndarray
+    flux_left: np.ndarray
+    flux_right: np.ndarray
+    source: np.ndarray
+
+
+def linear_coefficients(
+    problem: RiccatiProblem, u_opt: np.ndarray, grid: Grid1D, dt_fixed: float
+) -> LinearCoefficients:
+    """The linear plant's per-run constants and views, for the control buffer u_opt."""
+    fluxes = np.empty(grid.n_cells + 1)
+    return LinearCoefficients(
+        np.array(-problem.v_coef), np.array(problem.b0_coef * 0.5),
+        dt_fixed, np.array(dt_fixed), np.array(dt_fixed / grid.dz), u_opt[:-1], u_opt[1:],
+        fluxes, fluxes[:-1], fluxes[1:], np.empty(grid.n_cells),
+    )
 
 
 def step_linear(
     grid: Grid1D,
-    extended: np.ndarray,
-    u_opt: np.ndarray,
-    problem: RiccatiProblem,
+    extended: Ghosted,
+    out: np.ndarray,
+    coefficients: LinearCoefficients,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Upwind step of the perturbation transport with the control source.
 
     The update integrates d(drho)/dt = V d(drho)/dz + B0 u with the
-    design model's coefficients V = problem.v_coef and
-    B0 = problem.b0_coef. Transport is rightward (V < 0 in free flow), so
-    the upwind flux at each interface takes the left value; the source
-    uses u averaged from interfaces to cells. No conservation statement
-    is made for the perturbation with source.
+    design model's coefficients V and B0. Transport is rightward (V < 0
+    in free flow), so the upwind flux at each interface takes the left
+    value; the source uses u averaged from interfaces to cells. No
+    conservation statement is made for the perturbation with source. The
+    new state is written into out, which must not overlap extended, and
+    the interface fluxes are returned in the run's flux buffer, which the
+    next step overwrites. A dt equal to coefficients.dt_fixed reads the
+    0-d dt and dt_dz of the coefficients; any other dt is converted here,
+    to the same values.
     """
-    fluxes = np.multiply(-problem.v_coef, extended[:-1])
-    new_values = np.subtract(fluxes[1:], fluxes[:-1])
-    np.multiply(new_values, dt / grid.dz, new_values)
-    np.subtract(extended[1:-1], new_values, new_values)
-    source = np.add(u_opt[:-1], u_opt[1:])
-    np.multiply(source, problem.b0_coef * 0.5, source)
+    c = coefficients
+    if dt == c.dt_fixed:
+        dt, dt_dz = c.dt, c.dt_dz
+    else:
+        dt_dz = dt / grid.dz
+    fluxes = np.multiply(c.neg_v, extended.left, c.fluxes)
+    new_values = np.subtract(c.flux_right, c.flux_left, out)
+    np.multiply(new_values, dt_dz, new_values)
+    np.subtract(extended.cells, new_values, new_values)
+    source = np.add(c.u_left, c.u_right, c.source)
+    np.multiply(source, c.half_b0, source)
     np.multiply(source, dt, source)
     np.add(new_values, source, new_values)
-    return new_values, fluxes
+    return fluxes
 
 
 def godunov_interface_flux(
@@ -116,27 +188,62 @@ def godunov_interface_flux(
     return np.minimum(q[0], q[1])
 
 
+@dataclass(frozen=True, slots=True)
+class NonlinearCoefficients:
+    """What step_nonlinear reads on every step of one run; built by nonlinear_coefficients.
+
+    params and the run's VSL profile buffer b_profile; free_flow_limit =
+    FREE_FLOW_MARGIN * rho_c; dt_fixed, the run's fixed step, with dt_dz
+    = dt_fixed / dz as a 0-d array.
+    """
+
+    params: TrafficParams
+    b_profile: np.ndarray
+    free_flow_limit: float
+    dt_fixed: float
+    dt_dz: np.ndarray
+
+
+def nonlinear_coefficients(
+    params: TrafficParams, b_profile: np.ndarray, grid: Grid1D, dt_fixed: float
+) -> NonlinearCoefficients:
+    """The nonlinear plant's per-run constants, for the VSL profile buffer b_profile."""
+    limit = FREE_FLOW_MARGIN * critical_density(params)
+    return NonlinearCoefficients(
+        params, b_profile, limit, dt_fixed, np.array(dt_fixed / grid.dz)
+    )
+
+
 def step_nonlinear(
     grid: Grid1D,
-    extended: np.ndarray,
-    b_profile: np.ndarray,
-    params: TrafficParams,
+    extended: Ghosted,
+    out: np.ndarray,
+    coefficients: NonlinearCoefficients,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
+    peak: float,
+) -> np.ndarray:
     """Conservative Godunov step of the LWR equation with a VSL profile.
 
     rho_i <- rho_i - (dt/dz) (F_{i+1/2} - F_{i-1/2}); interior mass
-    change therefore equals the boundary flux difference exactly. When
-    every value of extended is at most FREE_FLOW_MARGIN * rho_c, the flux
-    is evaluated on the left states alone, bitwise equal to the Godunov
-    flux there; above the margin, or on a NaN, godunov_interface_flux runs.
+    change therefore equals the boundary flux difference exactly. peak is
+    the largest cell of extended, or NaN if a cell is NaN; run_simulation's
+    density check finds it. The downstream ghost repeats the last cell, so
+    when peak and the upstream ghost are both at most FREE_FLOW_MARGIN *
+    rho_c, the flux is evaluated on the left states alone, bitwise equal
+    to the Godunov flux there; above the margin, or on a NaN,
+    godunov_interface_flux runs. The new state is written into out, which
+    must not overlap extended, and the interface fluxes are returned. dt
+    is as for step_linear.
     """
-    left = extended[:-1]
-    # argmax finds the largest value, or the first NaN, in a fraction of a reduction's time
-    if extended.item(extended.argmax()) <= FREE_FLOW_MARGIN * critical_density(params):
-        fluxes = flux(left, b_profile, params)
+    c = coefficients
+    dt_dz = c.dt_dz if dt == c.dt_fixed else dt / grid.dz
+    if peak <= c.free_flow_limit and extended.values.item(0) <= c.free_flow_limit:
+        fluxes = flux(extended.left, c.b_profile, c.params)
     else:
-        fluxes = godunov_interface_flux(left, extended[1:], b_profile, params)
-    new_values = np.subtract(fluxes[1:], fluxes[:-1])
-    np.multiply(new_values, dt / grid.dz, new_values)
-    return np.subtract(extended[1:-1], new_values, new_values), fluxes
+        fluxes = godunov_interface_flux(
+            extended.left, extended.values[1:], c.b_profile, c.params
+        )
+    new_values = np.subtract(fluxes[1:], fluxes[:-1], out)
+    np.multiply(new_values, dt_dz, new_values)
+    np.subtract(extended.cells, new_values, new_values)
+    return fluxes

@@ -111,8 +111,9 @@ def test_sweep_runs_stay_in_the_traced_process(bench, tmp_path):
 
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])
 def test_vsl_integration_count(bench, model):
-    # the nonlinear stepper reads the VSL profile on every step, the linear one
-    # never: there the profile is integrated for the recorded frames only
+    # the nonlinear stepper reads the VSL profile on every step (one integration
+    # per step and one of the initial state), the linear one never; on both
+    # plants the profiles of the recorded frames are integrated in one call
     targets = bench.layer_targets(lwrvsl)
     traced = ("riccati.integrate_vsl", *bench.STEPPERS)
     tracer = bench.Tracer(
@@ -123,7 +124,8 @@ def test_vsl_integration_count(bench, model):
     history = tracer.run_op(lambda: run_simulation(scenario, 4.0))
     layers = tracer.op_layers(0)
     steps = sum(layers[name][0] for name in bench.STEPPERS)
-    expected = len(history.times) if model == "linear" else steps + 1
+    expected = 1 if model == "linear" else steps + 2
+    assert len(history.times) == 3
     assert steps == 6
     assert layers["riccati.integrate_vsl"][0] == expected
 
@@ -131,8 +133,10 @@ def test_vsl_integration_count(bench, model):
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])
 def test_closed_loop_call_counts(bench, model):
     # per nonlinear step one flux evaluation (the stacked demand and supply
-    # states), plus one in assemble_problem; per step one apply_boundary
-    # refill of the run's ghost buffer
+    # states), plus one in assemble_problem; per step one apply_boundary, which
+    # writes the ghosts of the buffer the step reads; per run one integrate_vsl
+    # over the controls of its three frames, plus one per nonlinear step and one
+    # of the nonlinear initial state
     targets = bench.layer_targets(lwrvsl)
     traced = ("fundamental.flux", "solvers.apply_boundary", "riccati.integrate_vsl",
               *bench.STEPPERS)
@@ -148,9 +152,8 @@ def test_closed_loop_call_counts(bench, model):
     assert nonlinear_steps == (6 if model == "nonlinear" else 0)
     assert calls["fundamental.flux"] == nonlinear_steps + 1
     assert calls["solvers.apply_boundary"] == 6
-    assert calls["riccati.integrate_vsl"] == (
-        len(history.times) if model == "linear" else nonlinear_steps + 1
-    )
+    assert len(history.times) == 3
+    assert calls["riccati.integrate_vsl"] == (1 if model == "linear" else nonlinear_steps + 2)
 
 
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])

@@ -111,6 +111,14 @@ class TestUsageErrors:
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_malformed_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("params: [unclosed\n")
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "config error: malformed config: while parsing a flow sequence" in (
+            capsys.readouterr().err
+        )
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("numerics: {cells: 10}\n")

@@ -1,13 +1,19 @@
 """YAML run-configuration schema: defaults, overrides, and rejection paths."""
 
 import dataclasses
+import json
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lwrvsl.cli as cli_module
+import lwrvsl.config as config_module
 import lwrvsl.params as params_module
 import lwrvsl.scenario as scenario_module
 from lwrvsl import reference_scenario
@@ -119,6 +125,59 @@ class TestRejection:
     def test_malformed_yaml(self):
         with pytest.raises(ConfigError, match="malformed"):
             parse_config("params: [unclosed\n")
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_malformed_yaml_carries_the_libyaml_message(self):
+        # the loader is libyaml's: its messages name line and column, with no excerpt
+        with pytest.raises(ConfigError) as raised:
+            parse_config("params: [unclosed\n")
+        assert str(raised.value) == (
+            "malformed config: while parsing a flow sequence\n"
+            '  in "<unicode string>", line 1, column 9\n'
+            "did not find expected ',' or ']'\n"
+            '  in "<unicode string>", line 2, column 1'
+        )
+        with pytest.raises(ConfigError, match="^malformed config: mapping values are not "
+                           "allowed in this context"):
+            parse_config("a: b: c\n")
+
+    def test_without_libyaml_the_pure_python_loader_reads_the_same_values(self):
+        # a PyYAML built without libyaml has no CSafeLoader: the config module then
+        # loads with SafeLoader, whose messages carry a source excerpt
+        code = textwrap.dedent("""
+            import json, sys, yaml
+            yaml.__with_libyaml__ = False
+            del yaml.CSafeLoader
+            sys.path.insert(0, sys.argv[1])
+            from lwrvsl.config import ConfigError, _Loader, parse_config
+            config = parse_config("control: {q0: 5e-5}\\nnumerics: {n_cells: 4e2}\\n")
+            errors = []
+            for text in ("params: [unclosed\\n", "control: {q0: '5e-5'}\\n"):
+                try:
+                    parse_config(text)
+                except ConfigError as exc:
+                    errors.append(str(exc))
+            print(json.dumps([_Loader.__bases__[0].__name__, config.scenario.q0,
+                              config.scenario.grid.n_cells, errors]))
+        """)
+        source = pathlib.Path(config_module.__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-B", "-c", code, str(source)],
+            capture_output=True, text=True, check=True,
+        )
+        base, q0, n_cells, errors = json.loads(result.stdout)
+        assert (base, q0, n_cells) == ("SafeLoader", 5e-5, 400)
+        assert errors[0] == (
+            "malformed config: while parsing a flow sequence\n"
+            '  in "<unicode string>", line 1, column 9:\n'
+            "    params: [unclosed\n"
+            "            ^\n"
+            "expected ',' or ']', but got '<stream end>'\n"
+            '  in "<unicode string>", line 2, column 1:\n'
+            "    \n"
+            "    ^"
+        )
+        assert errors[1].startswith("control.q0 must be a number")
 
     def test_integer_literal_beyond_the_digit_limit(self):
         # the YAML loader's int() conversion refuses more than 4,300 digits

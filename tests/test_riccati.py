@@ -18,7 +18,7 @@ from lwrvsl.riccati import (
     phi_closed_form,
     phi_numeric_oracle,
 )
-from lwrvsl.scenario import REFERENCE_Q0_VALUES
+from lwrvsl.scenario import REFERENCE_Q0_VALUES, total_cars
 from lwrvsl.verify import ORACLE_BOUND
 
 PARAMS = TrafficParams(
@@ -415,6 +415,32 @@ class TestIntegrateVsl:
         clamp = tuple(map(np.array, DEFAULT_B_CLAMP))
         assert integrate_vsl(u_opt, np.array(1.0), grid, clamp, out) is out
         assert out.tobytes() == _reference_integrate_vsl(u_opt, 1.0, grid).tobytes()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        n_cells=st.integers(min_value=2, max_value=3200),
+        n_rows=st.integers(min_value=1, max_value=300),
+        data=st.data(),
+    )
+    def test_a_matrix_equals_its_rows_bitwise(self, n_cells, n_rows, data):
+        # a run integrates the recorded controls of all its frames in one call and sums
+        # the cars of all its density frames in one more; each row must be its 1-D call.
+        # The first row binds the clamp, on both sides from 8 cells on
+        grid = make_grid(2000.0, n_cells)
+        u_opt = data.draw(_rows(controls, n_rows * (n_cells + 1))).reshape(n_rows, -1)
+        u_opt[0] = np.where(grid.interfaces < 500.0, 1e-2, -1e-2)
+        out = np.full(u_opt.shape, np.nan)
+        assert integrate_vsl(u_opt, 1.0, grid, DEFAULT_B_CLAMP, out) is out
+        for row, profile in zip(u_opt, out):
+            expected = integrate_vsl(row, 1.0, grid, DEFAULT_B_CLAMP, np.empty(n_cells + 1))
+            assert profile.tobytes() == expected.tobytes()
+        assert out[0].min() == DEFAULT_B_CLAMP[0]
+        assert n_cells < 8 or out[0].max() == DEFAULT_B_CLAMP[1]
+        densities = st.floats(min_value=0.0, max_value=0.16)
+        rho = data.draw(_rows(densities, n_rows * n_cells)).reshape(n_rows, -1)
+        totals = total_cars(rho, grid)
+        assert totals.shape == (n_rows,)
+        assert totals.tobytes() == np.array([total_cars(row, grid) for row in rho]).tobytes()
 
     def test_equals_the_cumsum_form_where_the_clamp_binds_on_both_sides(self):
         # the clamp acts on the whole integral: a rise past b = 5 over the first

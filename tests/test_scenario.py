@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,10 @@ from lwrvsl.scenario import (
     total_cars,
     upstream_boundary,
 )
-from lwrvsl.solvers import SolverError, stable_dt, step_linear, step_nonlinear
+from lwrvsl.solvers import (
+    Ghosted, SolverError, linear_coefficients, nonlinear_coefficients, stable_dt, step_linear,
+    step_nonlinear,
+)
 
 
 def _tiny(model="linear", **overrides):
@@ -149,21 +153,28 @@ class TestBoundaryData:
         assert rho_20 == pytest.approx(0.05 + ramp, rel=1e-12)
 
     @settings(max_examples=200, derandomize=True)
-    @given(t=st.floats(min_value=0.0, max_value=120.0), scale=st.floats(0.0, 1.25))
-    def test_upstream_boundary_is_the_float_of_its_numpy_scalar_form(self, t, scale):
+    @given(
+        times=st.lists(st.floats(min_value=0.0, max_value=120.0), min_size=1, max_size=50),
+        scale=st.floats(0.0, 1.25),
+    )
+    def test_upstream_boundary_is_the_float_of_its_numpy_scalar_form(self, times, scale):
+        # a run evaluates the boundary once, over the start times of all its steps;
+        # every element must be the scalar form of its own time
         scenario = reference_scenario(amplitude_scale=scale)
         osc_amp = scenario.bc_osc_amplitude / 1000.0
         growth = scenario.bc_growth_rate / 1000.0
-        expected = (
-            scenario.params.rho_0
-            + osc_amp
-            * np.exp(-scenario.bc_decay_rate * t)
-            * np.sin(np.pi * t / scenario.bc_osc_period)
-            + growth * t
-        )
-        value = upstream_boundary(t, scenario)
-        assert type(value) is float
-        assert value.hex() == float(expected).hex()
+        values = upstream_boundary(np.array(times), scenario)
+        assert values.shape == (len(times),)
+        for t, value in zip(times, values.tolist()):
+            expected = (
+                scenario.params.rho_0
+                + osc_amp
+                * float(np.exp(-scenario.bc_decay_rate * t))
+                * float(np.sin(np.pi * t / scenario.bc_osc_period))
+                + growth * t
+            )
+            assert value.hex() == expected.hex()
+            assert float(upstream_boundary(t, scenario)).hex() == expected.hex()
 
     def test_decay_shrinks_the_oscillation(self):
         fast = dataclasses.replace(reference_scenario(), bc_decay_rate=0.1)
@@ -227,8 +238,11 @@ class TestTimeToTarget:
 def _reference_run(scenario, frame_interval, cfl=REFERENCE_CFL):
     """The closed loop as first written: a new ghost-extended copy per step.
 
-    Returns the frame matrices and totals, the boundary car counts, and the
-    ghost-extended state of every step.
+    The boundary value, the VSL profile and the car count are computed per
+    step or per frame, and each step writes a new array; the steppers take
+    coefficients built for that step, for a fixed step no step here takes,
+    so that they compute every dt / dz themselves. Returns the frame matrices and totals, the boundary
+    car counts, and the ghost-extended state of every step.
     """
     p, grid = scenario.params, scenario.grid
     linear = scenario.model == "linear"
@@ -265,10 +279,15 @@ def _reference_run(scenario, frame_interval, cfl=REFERENCE_CFL):
             upstream = upstream_boundary(t, scenario) - base
             extended = np.concatenate(([upstream], state, state[-1:]))
             extended_states.append(extended)
+            buffer = Ghosted(extended, extended[:-1], extended[1:-1])
+            state = np.empty(grid.n_cells)
             if linear:
-                state, fluxes = step_linear(grid, extended, u_opt, problem, dt)
+                coefficients = linear_coefficients(problem, u_opt, grid, 2.0 * dt_fixed)
+                fluxes = step_linear(grid, buffer, state, coefficients, dt)
             else:
-                state, fluxes = step_nonlinear(grid, extended, b_profile, p, dt)
+                coefficients = nonlinear_coefficients(p, b_profile, grid, 2.0 * dt_fixed)
+                peak = float(np.max(extended[1:-1]))
+                fluxes = step_nonlinear(grid, buffer, state, coefficients, dt, peak)
             inflow += dt * fluxes[0]
             outflow += dt * fluxes[-1]
             t = next_frame if at_frame else t + dt
@@ -308,7 +327,7 @@ class TestRunSimulation:
         for name, stepper in (("step_linear", step_linear), ("step_nonlinear", step_nonlinear)):
 
             def recorded(grid, extended, *args, _stepper=stepper):
-                buffers.append(extended.copy())
+                buffers.append(extended.values.copy())
                 return _stepper(grid, extended, *args)
 
             monkeypatch.setattr(scenario_module, name, recorded)
@@ -359,6 +378,45 @@ class TestRunSimulation:
         assert history.inflow_cars.hex() == float(inflow).hex()
         assert history.outflow_cars.hex() == float(outflow).hex()
 
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 7])
+    def test_any_step_block_equals_the_reference_loop(self, monkeypatch, model, block):
+        # at 16 cells dt is 1.76 s: six steps, three per 4 s frame, the last one cut.
+        # Blocks of 3 end on the frames, the others split a frame's steps, and each
+        # block takes its boundary values in one call
+        monkeypatch.setattr(scenario_module, "STEP_BLOCK", block)
+        sizes = []
+        boundary = scenario_module.upstream_boundary
+        monkeypatch.setattr(
+            scenario_module, "upstream_boundary",
+            lambda t, scenario: sizes.append(len(t)) or boundary(t, scenario),
+        )
+        scenario = reference_scenario(model=model, n_cells=16, sim_time=8.0, q0=5e-4)
+        history = run_simulation(scenario, 4.0)
+        rows, inflow, outflow, _ = _reference_run(scenario, 4.0)
+        assert sizes == [min(block, 6 - k) for k in range(0, 6, block)]
+        assert history.density_frames.tobytes() == rows["density"].tobytes()
+        assert history.vsl_frames.tobytes() == rows["vsl"].tobytes()
+        assert history.control_frames.tobytes() == rows["control"].tobytes()
+        assert history.total_cars_series.tobytes() == rows["totals"].tobytes()
+        assert history.inflow_cars.hex() == float(inflow).hex()
+        assert history.outflow_cars.hex() == float(outflow).hex()
+
+    def test_a_run_holds_a_bounded_part_of_its_schedule(self):
+        # 4 cells at cfl 0.01 step 0.078 s: 12,778 steps in 1,000 s and 51,112 in
+        # 4,000 s, in one frame each. A schedule listed whole took ~100 B per step,
+        # ~3.8 MB more at the longer run; in blocks both peaks are equal
+        peaks = []
+        for sim_time in (1000.0, 4000.0):
+            scenario = reference_scenario(n_cells=4, amplitude_scale=0.0, sim_time=sim_time)
+            tracemalloc.start()
+            try:
+                run_simulation(scenario, frame_interval=sim_time, cfl=0.01)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 100_000, f"traced peaks {peaks} B"
+
     def test_a_run_above_the_free_flow_margin_equals_the_reference_loop(self, monkeypatch):
         # the boundary wave peaks at 79.9 cars/km, between the margin 0.99 rho_c
         # (79.2) and rho_c (80): the run starts in free flow, takes the Godunov
@@ -399,6 +457,49 @@ class TestRunSimulation:
         assert godunov_only.vsl_frames.tobytes() == history.vsl_frames.tobytes()
         assert godunov_only.inflow_cars.hex() == history.inflow_cars.hex()
         assert godunov_only.outflow_cars.hex() == history.outflow_cars.hex()
+
+    def test_the_guard_reads_the_checked_peak_and_the_upstream_ghost(self, monkeypatch):
+        # an initial bump and a boundary wave both peak at 79.9 cars/km, between the
+        # margin (79.2) and rho_c (80): the first steps exceed the margin in the cells
+        # alone, later ones at the upstream ghost alone. The guard reads the peak that
+        # the density check found after the step before, and the ghost, so a step takes
+        # the Godunov flux exactly when a value of the buffer it reads is above the margin
+        scenario = dataclasses.replace(
+            reference_scenario(model="nonlinear", n_cells=40, sim_time=30.0),
+            ic_amplitude=29.9,
+            bc_osc_amplitude=29.9,
+            bc_growth_rate=0.0,
+        )
+        limit = solvers_module.FREE_FLOW_MARGIN * scenario.params.rho_max / 2.0
+        godunov = solvers_module.godunov_interface_flux
+        calls = []
+        monkeypatch.setattr(
+            solvers_module, "godunov_interface_flux",
+            lambda *args: calls.append(1) or godunov(*args),
+        )
+        steps = []
+
+        def stepped(grid, extended, *args):
+            before = len(calls)
+            fluxes = step_nonlinear(grid, extended, *args)
+            ghost_above = not extended.values[0] <= limit
+            cells_above = not np.max(extended.values[1:]) <= limit
+            steps.append((ghost_above, cells_above, len(calls) > before))
+            return fluxes
+
+        monkeypatch.setattr(scenario_module, "step_nonlinear", stepped)
+        history = run_simulation(scenario, 1.0)
+        assert all(took == (ghost or cells) for ghost, cells, took in steps)
+        assert any(cells and not ghost for ghost, cells, _ in steps)
+        assert any(ghost and not cells for ghost, cells, _ in steps)
+        assert any(not took for _, _, took in steps)
+        monkeypatch.undo()
+        rows, inflow, outflow, _ = _reference_run(scenario, 1.0)
+        assert history.density_frames.tobytes() == rows["density"].tobytes()
+        assert history.vsl_frames.tobytes() == rows["vsl"].tobytes()
+        assert history.total_cars_series.tobytes() == rows["totals"].tobytes()
+        assert history.inflow_cars.hex() == float(inflow).hex()
+        assert history.outflow_cars.hex() == float(outflow).hex()
 
     @pytest.mark.parametrize("model", ["linear", "nonlinear"])
     def test_boundary_car_counts_are_plain_floats(self, model):
@@ -489,7 +590,11 @@ class TestRunSimulation:
     @pytest.mark.parametrize("model", ["linear", "nonlinear"])
     def test_nan_density_aborts(self, model, monkeypatch):
         # NaN compares false with both bounds; the per-step check must still stop the run
-        monkeypatch.setattr(scenario_module, "upstream_boundary", lambda t, scenario: math.nan)
+        # the run evaluates the boundary once, over the start times of its steps
+        monkeypatch.setattr(
+            scenario_module, "upstream_boundary",
+            lambda t, scenario: np.full(np.shape(t), math.nan),
+        )
         with pytest.raises(SolverError, match="left \\[0, rho_max\\]"):
             run_simulation(_tiny(model=model))
 
@@ -626,18 +731,19 @@ class TestGeneratedScenarios:
         the linear plant's state is rho - rho_0.
         """
 
-        def linear(grid, extended, u_opt, problem, dt):
-            courants.append(abs(problem.v_coef) * dt / grid.dz)
-            peaks.append(float(np.max(extended)) + rho_0)
-            return step_linear(grid, extended, u_opt, problem, dt)
+        def linear(grid, extended, out, coefficients, dt):
+            courants.append(float(abs(coefficients.neg_v) * dt / grid.dz))
+            peaks.append(float(np.max(extended.values)) + rho_0)
+            return step_linear(grid, extended, out, coefficients, dt)
 
-        def nonlinear(grid, extended, b, params, dt):
+        def nonlinear(grid, extended, out, coefficients, dt, peak):
             # a wave next to an interface moves at most as fast as the larger b allows
+            b, params = coefficients.b_profile, coefficients.params
             b_adjacent = np.concatenate(([b[0]], np.maximum(b[:-1], b[1:]), [b[-1]]))
-            speed = np.max(np.abs(characteristic_speed(extended, b_adjacent, params)))
-            courants.append(speed * dt / grid.dz)
-            peaks.append(float(np.max(extended)))
-            return step_nonlinear(grid, extended, b, params, dt)
+            speed = np.max(np.abs(characteristic_speed(extended.values, b_adjacent, params)))
+            courants.append(float(speed * dt / grid.dz))
+            peaks.append(float(np.max(extended.values)))
+            return step_nonlinear(grid, extended, out, coefficients, dt, peak)
 
         return linear, nonlinear
 

@@ -19,7 +19,10 @@ from lwrvsl.solvers import (
     FREE_FLOW_MARGIN,
     SolverError,
     apply_boundary,
+    ghosted,
     godunov_interface_flux,
+    linear_coefficients,
+    nonlinear_coefficients,
     stable_dt,
     step_linear,
     step_nonlinear,
@@ -42,7 +45,42 @@ PROBLEM = assemble_problem(PARAMS, 5e-5)
 
 def _ghosted(values, upstream_value):
     """values with its two ghost cells, in a buffer of its own."""
-    return apply_boundary(np.empty(values.size + 2), values, upstream_value)
+    buffer = ghosted(values.size)
+    buffer.cells[:] = values
+    apply_boundary(buffer.values, upstream_value)
+    return buffer.values
+
+
+def _buffer(extended):
+    """A ghost-extended buffer holding a copy of the n + 2 values of extended."""
+    buffer = ghosted(extended.size - 2)
+    buffer.values[:] = extended
+    return buffer
+
+
+def _step_linear(grid, extended, u_opt, dt):
+    """One step_linear call from extended: the new values and the interface fluxes.
+
+    The run's fixed step is a different dt, so the stepper computes dt / dz itself.
+    """
+    out = np.empty(grid.n_cells)
+    coefficients = linear_coefficients(PROBLEM, u_opt, grid, 2.0 * dt)
+    fluxes = step_linear(grid, _buffer(extended), out, coefficients, dt)
+    return out, fluxes.copy()
+
+
+def _step_nonlinear(grid, extended, b_profile, dt):
+    """One step_nonlinear call from extended, taken at its fixed step.
+
+    The guard's peak is the largest cell, or NaN, as run_simulation's density check
+    finds it. Returns the new values and the interface fluxes.
+    """
+    out = np.empty(grid.n_cells)
+    coefficients = nonlinear_coefficients(PARAMS, b_profile, grid, dt)
+    buffer = _buffer(extended)
+    peak = float(np.max(buffer.cells))
+    fluxes = step_nonlinear(grid, buffer, out, coefficients, dt, peak)
+    return out, fluxes
 
 densities = st.floats(min_value=0.0, max_value=0.16, allow_nan=False)
 # the critical density exactly, free-flow and congested cells, and the two ends
@@ -92,22 +130,54 @@ def _counted_godunov(monkeypatch_context):
 
 class TestApplyBoundary:
     def test_absolute_ghosts(self):
-        values = np.array([0.04, 0.06])
-        buffer = np.empty(4)
-        extended = apply_boundary(buffer, values, 0.055)
-        assert extended is buffer
+        buffer = ghosted(2)
+        buffer.cells[:] = [0.04, 0.06]
+        extended = apply_boundary(buffer.values, 0.055)
+        assert extended is buffer.values
         assert extended.tolist() == [0.055, 0.04, 0.06, 0.06]
-        assert values.tolist() == [0.04, 0.06]
 
     def test_refill_leaves_no_stale_ghost(self):
-        buffer = np.full(5, np.nan)
-        values = np.array([0.01, 0.02, 0.03])
-        assert apply_boundary(buffer, values, 0.04) is buffer
-        assert buffer.tolist() == [0.04, 0.01, 0.02, 0.03, 0.03]
+        buffer = ghosted(3)
+        buffer.values[:] = np.nan
+        buffer.cells[:] = [0.01, 0.02, 0.03]
+        assert apply_boundary(buffer.values, 0.04) is buffer.values
+        assert buffer.values.tolist() == [0.04, 0.01, 0.02, 0.03, 0.03]
         # a second state in the same buffer keeps nothing of the first
-        apply_boundary(buffer, np.array([0.05, 0.06, 0.07]), 0.08)
-        assert buffer.tolist() == [0.08, 0.05, 0.06, 0.07, 0.07]
-        assert values.tolist() == [0.01, 0.02, 0.03]
+        buffer.cells[:] = [0.05, 0.06, 0.07]
+        apply_boundary(buffer.values, 0.08)
+        assert buffer.values.tolist() == [0.08, 0.05, 0.06, 0.07, 0.07]
+
+    def test_views_share_the_buffer(self):
+        buffer = ghosted(3)
+        assert buffer.values.shape == (5,)
+        assert buffer.left.base is buffer.values and buffer.left.size == 4
+        assert buffer.cells.base is buffer.values and buffer.cells.size == 3
+        buffer.values[:] = np.arange(5.0)
+        assert buffer.left.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert buffer.cells.tolist() == [1.0, 2.0, 3.0]
+
+
+class TestFixedStep:
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    def test_the_fixed_step_gives_the_bits_of_any_other_step(self, model):
+        # a dt equal to the coefficients' fixed step reads their 0-d dt and dt / dz,
+        # any other dt is converted by the stepper: the same values either way
+        grid = make_grid(2000.0, 40)
+        values = 0.05 + 0.005 * np.sin(2.0 * np.pi * grid.cell_centers / 2000.0)
+        interfaces = 1e-5 * np.cos(np.pi * grid.interfaces / 2000.0)
+        dt = 0.9 * grid.dz / (2.0 * PARAMS.u_max)
+        results = []
+        for dt_fixed in (dt, 2.0 * dt):
+            buffer, out = _buffer(_ghosted(values, 0.052)), np.empty(grid.n_cells)
+            if model == "linear":
+                coefficients = linear_coefficients(PROBLEM, interfaces, grid, dt_fixed)
+                fluxes = step_linear(grid, buffer, out, coefficients, dt)
+            else:
+                b_profile = 1.0 + 1e3 * interfaces
+                coefficients = nonlinear_coefficients(PARAMS, b_profile, grid, dt_fixed)
+                fluxes = step_nonlinear(grid, buffer, out, coefficients, dt, values.max())
+            results.append((out.tobytes(), fluxes.tobytes()))
+        assert results[0] == results[1]
 
 
 class TestStepLinear:
@@ -115,7 +185,7 @@ class TestStepLinear:
         grid = make_grid(2000.0, 50)
         values = 0.01 * np.exp(-((grid.cell_centers - 600.0) / 150.0) ** 2)
         dt = grid.dz / FREE_WAVE
-        new_values, _ = step_linear(grid, _ghosted(values, 0.0), np.zeros(51), PROBLEM, dt)
+        new_values, _ = _step_linear(grid, _ghosted(values, 0.0), np.zeros(51), dt)
         expected = np.concatenate(([0.0], values[:-1]))
         assert np.allclose(new_values, expected, rtol=0.0, atol=1e-14)
 
@@ -125,7 +195,7 @@ class TestStepLinear:
         values = 0.005 * np.sin(2.0 * np.pi * grid.cell_centers / 2000.0)
         u = 1e-5 * np.cos(np.pi * grid.interfaces / 2000.0)
         dt = 0.1
-        new_values, fluxes = step_linear(grid, _ghosted(values, 0.002), u, PROBLEM, dt)
+        new_values, fluxes = _step_linear(grid, _ghosted(values, 0.002), u, dt)
         lhs = np.sum(new_values - values) * grid.dz
         b0_coef = -flux(PARAMS.rho_0, 1.0, PARAMS)
         source = b0_coef * 0.5 * (u[:-1] + u[1:])
@@ -136,7 +206,7 @@ class TestStepLinear:
         grid = make_grid(2000.0, 20)
         u = np.full(21, 0.01)
         dt = 0.2
-        new_values, _ = step_linear(grid, _ghosted(np.zeros(20), 0.0), u, PROBLEM, dt)
+        new_values, _ = _step_linear(grid, _ghosted(np.zeros(20), 0.0), u, dt)
         expected = dt * (-flux(PARAMS.rho_0, 1.0, PARAMS)) * 0.01
         assert np.allclose(new_values, expected, rtol=1e-14, atol=0.0)
         assert np.all(new_values < 0.0)
@@ -144,7 +214,7 @@ class TestStepLinear:
     def test_reported_fluxes_are_upwind(self):
         grid = make_grid(2000.0, 4)
         values = np.array([0.001, 0.002, 0.003, 0.004])
-        _, fluxes = step_linear(grid, _ghosted(values, 0.005), np.zeros(5), PROBLEM, 0.1)
+        _, fluxes = _step_linear(grid, _ghosted(values, 0.005), np.zeros(5), 0.1)
         expected = FREE_WAVE * np.concatenate(([0.005], values))
         assert fluxes.shape == (5,)
         assert np.allclose(fluxes, expected, rtol=1e-12, atol=0.0)
@@ -235,9 +305,7 @@ class TestStepNonlinear:
     def test_uniform_state_is_stationary(self):
         grid = make_grid(2000.0, 20)
         values = np.full(20, 0.05)
-        new_values, fluxes = step_nonlinear(
-            grid, _ghosted(values, 0.05), np.ones(21), PARAMS, 0.3
-        )
+        new_values, fluxes = _step_nonlinear(grid, _ghosted(values, 0.05), np.ones(21), 0.3)
         assert np.array_equal(new_values, values)
         assert np.all(fluxes == flux(0.05, 1.0, PARAMS))
 
@@ -252,25 +320,33 @@ class TestStepNonlinear:
         dt = stable_dt(grid.dz, 2.0 * PARAMS.u_max, data.draw(st.floats(0.01, 1.0)))
         with pytest.MonkeyPatch.context() as patch:
             godunov_calls = _counted_godunov(patch)
-            new_values, fluxes = step_nonlinear(grid, extended, b, PARAMS, dt)
+            new_values, fluxes = _step_nonlinear(grid, extended, b, dt)
         expected_values, expected_fluxes = _godunov_step(grid, extended, b, PARAMS, dt)
         assert godunov_calls == []
         assert fluxes.tobytes() == expected_fluxes.tobytes()
         assert new_values.tobytes() == expected_values.tobytes()
 
     @pytest.mark.parametrize(
-        "where", ["upstream ghost", "interior cell", "downstream ghost", "NaN cell"]
+        "where", ["upstream ghost", "interior cell", "downstream ghost", "NaN cell", "NaN ghost"]
     )
     def test_a_value_above_the_margin_takes_the_godunov_flux(self, monkeypatch, where):
+        # the guard reads the upstream ghost and the peak of the cells; the downstream
+        # ghost repeats the last cell, so it is raised together with that cell
         grid = make_grid(2000.0, 8)
-        extended = np.full(10, 0.05)
-        index = {"upstream ghost": 0, "interior cell": 4, "downstream ghost": -1, "NaN cell": 3}
-        extended[index[where]] = np.nan if where == "NaN cell" else np.nextafter(
-            FREE_FLOW_LIMIT, 1.0
-        )
+        cells = np.full(8, 0.05)
+        upstream = 0.05
+        above = np.nextafter(FREE_FLOW_LIMIT, 1.0)
+        if where == "upstream ghost":
+            upstream = above
+        elif where == "NaN ghost":
+            upstream = np.nan
+        else:
+            index = {"interior cell": 3, "downstream ghost": -1, "NaN cell": 2}[where]
+            cells[index] = np.nan if where == "NaN cell" else above
+        extended = _ghosted(cells, upstream)
         b = np.linspace(0.5, 1.5, 9)
         godunov_calls = _counted_godunov(monkeypatch)
-        new_values, fluxes = step_nonlinear(grid, extended, b, PARAMS, 0.1)
+        new_values, fluxes = _step_nonlinear(grid, extended, b, 0.1)
         expected_values, expected_fluxes = _godunov_step(grid, extended, b, PARAMS, 0.1)
         assert godunov_calls == [1]
         assert fluxes.tobytes() == expected_fluxes.tobytes()
@@ -280,9 +356,7 @@ class TestStepNonlinear:
         grid = make_grid(2000.0, 40)
         values = 0.05 + 0.01 * np.sin(2.0 * np.pi * grid.cell_centers / 2000.0)
         dt = 0.2
-        new_values, fluxes = step_nonlinear(
-            grid, _ghosted(values, 0.052), np.ones(41), PARAMS, dt
-        )
+        new_values, fluxes = _step_nonlinear(grid, _ghosted(values, 0.052), np.ones(41), dt)
         lhs = np.sum(new_values - values) * grid.dz
         rhs = -dt * (fluxes[-1] - fluxes[0])
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-18)
@@ -302,7 +376,7 @@ class TestStepNonlinear:
         extended = _ghosted(np.full(8, RHO_C), RHO_C)
         b = np.full(9, 0.1)
         b[-1] = 2.0
-        new_values, _ = step_nonlinear(grid, extended, b, PARAMS, 0.5)
+        new_values, _ = _step_nonlinear(grid, extended, b, 0.5)
         assert new_values.min() < 0.0
         scenario = reference_scenario(model="nonlinear")
         with pytest.raises(SolverError, match="left \\[0, rho_max\\] in the nonlinear run"):
@@ -376,8 +450,8 @@ class TestConvergenceStudies:
         original = getattr(scenario_module, stepper)
         monkeypatch.setattr(
             scenario_module, stepper,
-            lambda grid, extended, control, coefs, dt: original(
-                grid, extended, control, coefs, 0.5 * dt
+            lambda grid, extended, out, coefficients, dt, *peak: original(
+                grid, extended, out, coefficients, 0.5 * dt, *peak
             ),
         )
         result = getattr(verify, f"check_convergence_{model}")()
