@@ -176,9 +176,10 @@ def integrate_vsl(
     bitwise as its own 1-D call does. The profile is written into out, of
     u_opt's shape and not overlapping it, and out is returned.
     """
-    increments = np.add(u_opt[..., :-1], u_opt[..., 1:])
+    # the increments are written where their running sum goes, and summed in place
+    increments = np.add(u_opt[..., :-1], u_opt[..., 1:], out[..., 1:])
     np.multiply(increments, 0.5 * grid.dz, increments)
     out[..., 0] = 0.0
-    np.add.accumulate(increments, axis=-1, out=out[..., 1:])
+    np.add.accumulate(increments, axis=-1, out=increments)
     np.add(out, b0, out)
     return out.clip(*clamp, out=out)

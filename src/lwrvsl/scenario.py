@@ -20,25 +20,26 @@ from n_cells; q0_members does the same for a list of q0 values.
 stable_dt fixes the step size, and run_simulation refuses a run whose
 frames or cell updates exceed MAX_FRAME_VALUES or MAX_CELL_UPDATES
 before it builds anything. The loop checks only each step's density
-bound, on Python floats. The run lists its steps (start time, dt, frame)
-STEP_BLOCK at a time and evaluates upstream_boundary once over each
-block's start times. Every step writes into arrays the run allocates
-once: it reads one of two ghost-extended buffers, whose two ghosts
-apply_boundary writes, and the stepper writes the new state into the
-cells of the other; control_field and integrate_vsl write the control
-and the VSL profile through their out= arguments. A linear step writes
-only into the run's buffers; a free-flow nonlinear one also allocates
-its fluxes and the temporaries of flux and integrate_vsl. At a frame the
-loop copies the state and the control; after the loop one call each
-derives the absolute density, the VSL frames and the car counts.
+bound, on Python floats. The run marches one flat list of steps, handed
+out STEP_BLOCK at a time as plain lists of start times, dts, end times
+and the frame row each step lands on, if any; the loop evaluates
+upstream_boundary once over each block's start times. Every step writes
+into arrays the run allocates once: it reads one of two ghost-extended
+buffers, whose two ghosts apply_boundary writes, and the stepper writes
+the new state into the cells of the other; control_field and
+integrate_vsl write the control and the VSL profile through their out=
+arguments. A linear step writes only into the run's buffers; a
+free-flow nonlinear one also allocates its fluxes and the temporaries
+of flux. After a step that lands on a frame row the loop copies the
+state and the control into it; after the loop one call each derives
+the absolute density, the VSL frames and the car counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,48 +313,36 @@ def _check_density(state: np.ndarray, base: float, t: float, scenario: Scenario)
 
 
 def _step_blocks(
-    times: list[float], dt_fixed: float, ghosts: Callable[[list[float]], list[float]]
-) -> Iterator[tuple[Iterator[tuple[float, float, float]], int | None]]:
+    times: list[float], dt_fixed: float
+) -> Iterator[tuple[list[float], list[float], list[float], list[int | None]]]:
     """The steps of a run in the float arithmetic of a step-by-step march.
 
     A step starts at the end of the one before and takes dt_fixed, but the
     step that reaches a frame instant of times is cut to land on it
-    exactly. The steps are listed STEP_BLOCK at a time, and ghosts maps
-    each block's start times to its boundary values in one call, so what a
-    run holds of its schedule is bounded whatever its step count. Yields
-    (steps, row) in order: steps gives (ghost, dt, end) of consecutive
-    steps, and row is the frame the last of them reaches, else None. The
-    first steps are none, with row 0: the initial state.
+    exactly. Yields the steps in order, at most STEP_BLOCK at a time, so
+    that what a run holds of its schedule is bounded whatever its step
+    count: each block is the lists (starts, dts, ends, rows) of its steps,
+    where rows[k] is the row of times that step k lands on, else None.
+    Row 0, the initial state, is reached by no step.
     """
     starts: list[float] = []
     dts: list[float] = []
-    marks: list[tuple[int, int]] = []  # (steps listed, row) at each frame reached
+    ends: list[float] = []
+    rows: list[int | None] = []
     t = 0.0
     for row, next_frame in enumerate(times):
         while t < next_frame:
             if len(starts) == STEP_BLOCK:
-                yield from _split_at_frames(ghosts(starts), dts, [*starts[1:], t], marks)
-                starts, dts, marks = [], [], []
+                yield starts, dts, ends, rows
+                starts, dts, ends, rows = [], [], [], []
             at_frame = t + dt_fixed >= next_frame - 1e-12
             dt = next_frame - t if at_frame else dt_fixed
             starts.append(t)
             dts.append(dt)
             t = next_frame if at_frame else t + dt
-        marks.append((len(starts), row))
-    yield from _split_at_frames(ghosts(starts), dts, [*starts[1:], t], marks)
-
-
-def _split_at_frames(
-    ghosts: list[float], dts: list[float], ends: list[float], marks: list[tuple[int, int]]
-) -> Iterator[tuple[Iterator[tuple[float, float, float]], int | None]]:
-    """One block of _step_blocks, cut after each frame it reaches."""
-    steps = zip(ghosts, dts, ends)
-    first = 0
-    for last, row in marks:
-        yield itertools.islice(steps, last - first), row
-        first = last
-    if first < len(dts):
-        yield steps, None
+            ends.append(t)
+            rows.append(row if at_frame else None)
+    yield starts, dts, ends, rows
 
 
 def run_simulation(
@@ -376,14 +365,15 @@ def run_simulation(
     stable_dt on the worst-case wave speed b_cap * u_max (b_cap being the
     clamp ceiling when control is on, else b_0), shortened only to land
     exactly on frame instants. The frame instants, every frame_interval
-    seconds and at T, are listed first; the steps and their boundary
-    values follow, STEP_BLOCK steps at a time, as the march goes. At each
-    frame the state and the control fill one row; the density, the VSL
-    rate and the total cars of every row follow after the last step. A
-    run whose frame matrices would hold more than MAX_FRAME_VALUES
-    values, or whose ceil(T / dt) fixed steps would take more than
-    MAX_CELL_UPDATES cell updates, raises ValueError before any array, or
-    the frame list, is built.
+    seconds and at T, are listed first; the steps follow as one flat
+    schedule, STEP_BLOCK steps at a time, each block's boundary values in
+    one call. Each step carries the frame row it lands on, if any: the
+    state and the control fill that row right after the step, and row 0
+    before the first step. The density, the VSL rate and the total cars
+    of every row follow after the last step. A run whose frame matrices
+    would hold more than MAX_FRAME_VALUES values, or whose ceil(T / dt)
+    fixed steps would take more than MAX_CELL_UPDATES cell updates,
+    raises ValueError before any array, or the frame list, is built.
     """
     require_positive("frame_interval", frame_interval)
     p = scenario.params
@@ -454,16 +444,16 @@ def run_simulation(
     if gain is None:
         refresh = (lambda state: None)
 
-    def ghosts(starts: list[float]) -> list[float]:
-        return (upstream_boundary(np.array(starts), scenario) - base).tolist()
-
     np.subtract(initial_condition(grid.cell_centers, scenario), base, current.cells)
     peak = _check_density(current.cells, base, 0.0, scenario)
     refresh(current.cells)
+    density_frames[0] = current.cells
+    control_frames[0] = u_opt
     inflow = 0.0
     outflow = 0.0
-    for steps, row in _step_blocks(times, dt_fixed, ghosts):
-        for ghost, dt, t in steps:
+    for starts, dts, ends, rows in _step_blocks(times, dt_fixed):
+        ghosts = (upstream_boundary(np.array(starts), scenario) - base).tolist()
+        for ghost, dt, t, row in zip(ghosts, dts, ends, rows):
             apply_boundary(current.values, ghost)
             fluxes = advance(current, target, dt, peak)
             inflow += dt * fluxes.item(0)
@@ -472,9 +462,9 @@ def run_simulation(
             # the control of the new state drives the next step and, at a frame, is recorded
             refresh(target.cells)
             current, target = target, current
-        if row is not None:
-            density_frames[row] = current.cells
-            control_frames[row] = u_opt
+            if row is not None:
+                density_frames[row] = current.cells
+                control_frames[row] = u_opt
     # each row's VSL profile is integrated from its control, as the nonlinear march does
     # it bitwise; with control off, zeros integrate to b_0 exactly
     np.add(density_frames, base, density_frames)

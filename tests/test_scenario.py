@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -309,10 +310,14 @@ class TestRunSimulation:
         [
             # at 16 cells dt is 1.76 s with control on (three steps per 4 s
             # frame, the last one cut) and 3.52 s with it off (two steps)
-            (dict(n_cells=16, sim_time=8.0, q0=5e-4), 4.0),
-            ({}, REFERENCE_CADENCE),
+            (dict(n_cells=16, sim_time=8.0, q0=5e-4), 4.0, None),
+            ({}, REFERENCE_CADENCE, None),
+            # the default clamp never binds on the runs above; (0.99, 1.01) at q0 = 5e-4
+            # does with control on
+            (dict(n_cells=16, sim_time=8.0, q0=5e-4), 4.0, (0.99, 1.01)),
+            (dict(q0=5e-4), REFERENCE_CADENCE, (0.99, 1.01)),
         ],
-        ids=["16-cells", "reference"],
+        ids=["16-cells", "reference", "16-cells-binding-clamp", "reference-binding-clamp"],
     )
     def test_equals_the_reference_loop_bitwise(
         self, setup, model, control_enabled, monkeypatch
@@ -321,8 +326,10 @@ class TestRunSimulation:
         # stepper's output reads the downstream ghost, so the buffer each step
         # is given is compared too: a ghost written before the interior copy
         # would repeat the cell of the step before
-        overrides, frame_interval = setup
+        overrides, frame_interval, clamp = setup
         scenario = reference_scenario(model=model, control_enabled=control_enabled, **overrides)
+        if clamp is not None:
+            scenario = dataclasses.replace(scenario, clamp=clamp)
         buffers = []
         for name, stepper in (("step_linear", step_linear), ("step_nonlinear", step_nonlinear)):
 
@@ -333,6 +340,9 @@ class TestRunSimulation:
             monkeypatch.setattr(scenario_module, name, recorded)
         history = run_simulation(scenario, frame_interval)
         rows, inflow, outflow, extended_states = _reference_run(scenario, frame_interval)
+        if clamp is not None and control_enabled:
+            on_clamp = np.isin(history.vsl_frames, clamp).sum()
+            assert on_clamp > 0, "the clamp never binds"
         assert len(buffers) == len(extended_states)
         for ours, theirs in zip(buffers, extended_states):
             assert ours.tobytes() == theirs.tobytes()
@@ -401,6 +411,37 @@ class TestRunSimulation:
         assert history.total_cars_series.tobytes() == rows["totals"].tobytes()
         assert history.inflow_cars.hex() == float(inflow).hex()
         assert history.outflow_cars.hex() == float(outflow).hex()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        dt=st.floats(min_value=1e-3, max_value=10.0),
+        # a frame every (steps + fraction) fixed steps, so the step reaching it is cut
+        steps=st.integers(min_value=0, max_value=5),
+        fraction=st.floats(min_value=0.1, max_value=0.9),
+        frames=st.floats(min_value=0.5, max_value=12.0),
+        block=st.integers(min_value=1, max_value=8),
+    )
+    def test_the_schedule_lands_once_on_every_frame(self, dt, steps, fraction, frames, block):
+        frame_interval = (steps + fraction) * dt
+        sim_time = frames * frame_interval
+        times = [0.0]
+        while len(times) == 1 or times[-1] < sim_time - 1e-9:
+            times.append(min(len(times) * frame_interval, sim_time))
+        with mock.patch.object(scenario_module, "STEP_BLOCK", block):
+            blocks = list(scenario_module._step_blocks(times, dt))
+        assert all(0 < len(starts) <= block for starts, _, _, _ in blocks)
+        starts, dts, ends, rows = ([x for b in blocks for x in b[i]] for i in range(4))
+        assert len(starts) == len(dts) == len(ends) == len(rows)
+        assert starts[0] == 0.0
+        assert all(starts[k + 1] == ends[k] for k in range(len(ends) - 1))
+        assert [row for row in rows if row is not None] == list(range(1, len(times)))
+        assert rows[-1] == len(times) - 1
+        # a step takes dt, and the step that reaches a frame is cut to end exactly on it
+        for start, step, end, row in zip(starts, dts, ends, rows):
+            if row is None:
+                assert (step, end) == (dt, start + dt)
+            else:
+                assert (step, end) == (times[row] - start, times[row])
 
     def test_a_run_holds_a_bounded_part_of_its_schedule(self):
         # 4 cells at cfl 0.01 step 0.078 s: 12,778 steps in 1,000 s and 51,112 in
