@@ -8,6 +8,11 @@ every b >= 0.
 Each relation is written once and allocates its result. The relations do
 not check their arguments, which Scenario and the density check of
 run_simulation keep in range (rho in [0, rho_max], b >= 0).
+
+Called with Python floats, equilibrium_speed, vsl_speed and flux return
+np.float64, since they go through the 0-d array _ONE, while
+characteristic_speed returns a float. Scalar callers that need a float
+convert, as assemble_problem does with float(flux(...)).
 """
 
 from __future__ import annotations

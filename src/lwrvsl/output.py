@@ -5,8 +5,13 @@ cars/km, speeds in km/h, positions in m, times in s, as labeled in the
 headers. Every CSV file is one header line and one matrix, written by
 write_wide_csv: '.' decimals, ',' separators, LF line endings, the time
 (or position) in the first column and every value printed with 17
-significant digits, so parsing recovers the emitted values exactly. SVG
-output is self-contained with a fixed 64-step colormap.
+significant digits, so parsing recovers the emitted values exactly. The
+bytes are those of '%.17g': numpy computes them for blocks of rows at
+once, and each value whose exact digits it cannot prove (zero, NaN, inf,
+a decimal exponent outside [-11, 16] or next to a power of ten, a
+near-tie, or any value where np.longdouble has fewer than 64 mantissa
+bits) is formatted by '%.17g' itself. SVG output is self-contained with
+a fixed 64-step colormap.
 """
 
 from __future__ import annotations
@@ -72,12 +77,139 @@ def fmt_float(value: float) -> str:
     return _FLOAT % value
 
 
+# The CSV body formatter. With E the decimal exponent of |v|, the 17 digits of
+# '%.17g' are the integer nearest to y = |v| * 10**(16 - E), in [10**16, 10**17).
+# With 64 or more mantissa bits, a long double holds 10**k exactly for 0 <= k <= 27
+# (5**27 < 2**63) and rounds the product y once, by less than 2**-8 since
+# y < 2**57, so the nearest integer is exact unless frac(y) lies within that
+# error of 1/2. Every value outside these bounds (zero, NaN, inf, E outside
+# [-11, 16], E missed by log10, frac(y) within _TIE of 1/2, or every value where
+# long double has fewer than 64 mantissa bits) is formatted by '%.17g' itself.
+_EXACT_TENS = np.finfo(np.longdouble).nmant >= 63
+_TENS = np.array([10**k for k in range(28)], dtype=np.longdouble)
+_LOW_E, _HIGH_E = -11, 16  # the exponents whose scaling is exact
+_STDLIB = _HIGH_E - _LOW_E + 1  # layout key of the values '%.17g' formats
+_TIE = 0.006  # above the 2**-8 bound on the rounding of y
+_FIELD = 25  # bytes per value: the longest '%.17g' text (24) and its separator
+_BLOCK_VALUES = 8192  # values formatted at once; bounds the working memory (~2 MB)
+
+
+def _quad_table() -> np.ndarray:
+    """The ASCII digits of 0000..9999 as little-endian uint32, then with trailing '0's NUL."""
+    digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    trailing = np.flip(np.logical_and.accumulate(np.flip(digits == 0, 1), 1), 1)
+    ascii_ = 48 + digits
+    return np.concatenate((ascii_, np.where(trailing, 0, ascii_))).view("<u4").ravel()
+
+
+_QUADS = _quad_table()
+
+
+def _digits(mantissa: np.ndarray) -> np.ndarray:
+    """The 17 ASCII digits of each integer in [10**16, 10**17), trailing '0's as NUL."""
+    lead = mantissa // 10**16
+    low = mantissa - lead * 10**16
+    head = low // 10**8
+    tail = low - head * 10**8
+    quads = np.empty((mantissa.size, 4), np.intp)
+    quads[:, 0] = head // 10**4
+    quads[:, 1] = head - quads[:, 0] * 10**4
+    quads[:, 2] = tail // 10**4
+    quads[:, 3] = tail - quads[:, 2] * 10**4
+    # a quad is stripped if every quad after it is zero; the last one always is
+    stripped = quads[:, 3] == 0
+    quads[:, 3] += 10000
+    quads[:, 2] += 10000 * stripped
+    stripped &= quads[:, 2] == 10000
+    quads[:, 1] += 10000 * stripped
+    stripped &= quads[:, 1] == 10000
+    quads[:, 0] += 10000 * stripped
+    digits = np.empty((mantissa.size, 17), np.uint8)
+    digits[:, 0] = 48 + lead
+    digits[:, 1:] = _QUADS.take(quads).view(np.uint8)
+    return digits
+
+
+def _lay_out(fields: np.ndarray, digits: np.ndarray, exponent: int) -> None:
+    """Write the '%.17g' text of digits with one exponent after each field's sign byte."""
+    if 0 <= exponent <= 16:
+        point = exponent + 1
+        np.maximum(digits[:, :point], 48, out=fields[:, 1:point + 1])  # integer '0's stay
+        if point < 17:
+            fields[:, point + 1] = (digits[:, point] != 0) * np.uint8(46)
+            fields[:, point + 2:19] = digits[:, point:]
+    elif -4 <= exponent < 0:
+        fields[:, 1:2 - exponent] = np.frombuffer(b"0.000"[:1 - exponent], np.uint8)
+        fields[:, 2 - exponent:19 - exponent] = digits
+    else:
+        fields[:, 1] = digits[:, 0]
+        fields[:, 2] = (digits[:, 1] != 0) * np.uint8(46)
+        fields[:, 3:19] = digits[:, 1:]
+        fields[:, 19:23] = np.frombuffer(b"e%+03d" % exponent, np.uint8)
+
+
+def _csv_fields(values: np.ndarray) -> np.ndarray:
+    """The '%.17g' bytes of each value of a 1-D float64 array, NUL-padded to _FIELD."""
+    size = values.size
+    magnitude = np.abs(values)
+    with np.errstate(divide="ignore"):
+        exponent = np.floor(np.log10(magnitude))
+    exact = (exponent >= _LOW_E) & (exponent <= _HIGH_E) & _EXACT_TENS
+    magnitude = np.where(exact, magnitude, 1.0)
+    exponent = np.where(exact, exponent, 0).astype(np.intp)
+    scaled = magnitude * _TENS[16 - exponent]
+    mantissa = scaled.astype(np.int64)
+    frac = (scaled - mantissa).astype(np.float64)
+    mantissa += frac > 0.5
+    # next to a power of ten log10 can miss E by one: scaled then leaves
+    # [10**16, 10**17), or rounds to 10**17, and the value goes to '%.17g'
+    exact &= (scaled >= 1e16) & (mantissa < 10**17) & (np.abs(frac - 0.5) >= _TIE)
+
+    key = np.where(exact, exponent - _LOW_E, _STDLIB).astype(np.uint8)
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(key, minlength=_STDLIB + 1))
+    fast = order[:ends[-2]]
+    fields = np.zeros((size, _FIELD), np.uint8)
+    fields[:fast.size, 0] = (values[fast] < 0) * np.uint8(45)
+    digits = _digits(mantissa[fast])
+    start = 0
+    for k in np.flatnonzero(np.diff(ends[:-1], prepend=0)):
+        _lay_out(fields[start:ends[k]], digits[start:ends[k]], k + _LOW_E)
+        start = ends[k]
+    slow = order[fast.size:]
+    if slow.size:
+        text = np.array([fmt_float(v) for v in values[slow].tolist()], dtype=f"S{_FIELD - 1}")
+        fields[fast.size:, :-1] = text.view(np.uint8).reshape(slow.size, _FIELD - 1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(size)
+    return fields.take(inverse, axis=0)
+
+
 def write_wide_csv(path: Path, header: list[str], table: np.ndarray) -> None:
-    """One header line, then each row of the 2-D table as 17-digit values."""
-    row_template = ",".join([_FLOAT] * len(header)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row_template % tuple(row) for row in table.tolist())
+    """One header line, then each row of the 2-D table, one '%.17g' text per value.
+
+    The bytes are those of ','.join(['%.17g'] * len(header)) % row per row. numpy
+    computes them for blocks of rows at once, in np.longdouble, which needs 64 or
+    more mantissa bits; each value whose digits it cannot prove exact, and every
+    value where np.longdouble is shorter, is formatted by '%.17g' itself. A table
+    that is not 2-D, has no columns, or whose column count differs from the
+    header's raises ValueError before the file is opened.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or not header or table.shape[1] != len(header):
+        raise ValueError(
+            f"a table of shape {table.shape} does not fit a header of {len(header)} columns"
+        )
+    n_cols = table.shape[1]
+    step = max(1, _BLOCK_VALUES // n_cols)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, table.shape[0], step):
+            block = table[start:start + step]
+            fields = _csv_fields(block.ravel()).reshape(block.shape[0], n_cols, _FIELD)
+            fields[:, :, -1] = ord(",")
+            fields[:, -1, -1] = ord("\n")
+            fh.write(fields.tobytes().translate(None, b"\0"))
 
 
 def write_json(path: Path, payload: dict) -> None:

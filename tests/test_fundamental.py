@@ -46,6 +46,18 @@ class TestEquilibriumSpeed:
         assert speeds[2] == 0.0
 
 
+class TestScalarReturnTypes:
+    """Python floats in: np.float64 out of three relations, a float out of the fourth."""
+
+    def test_relations_through_the_unit_array_return_float64(self):
+        assert type(equilibrium_speed(0.05, PARAMS)) is np.float64
+        assert type(vsl_speed(0.05, 1.2, PARAMS)) is np.float64
+        assert type(flux(0.05, 1.2, PARAMS)) is np.float64
+
+    def test_characteristic_speed_returns_float(self):
+        assert type(characteristic_speed(0.05, 1.2, PARAMS)) is float
+
+
 class TestVslSpeed:
     def test_scales_equilibrium_speed(self):
         base = equilibrium_speed(0.05, PARAMS)

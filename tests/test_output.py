@@ -1,9 +1,13 @@
 """Artifact writers: wide CSV, deterministic JSON, and self-contained SVG."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lwrvsl import assemble_problem, feedback_gain, reference_scenario, run_simulation
 from lwrvsl import output as output_module
@@ -107,6 +111,108 @@ class TestCsvWriters:
         assert lines == ["t_s,total_cars", "0,100", "1,101.5"]
         write_wide_csv(path, ["t_s", "a[q0=1]", "b"], np.array([[0.0, 2.0, 0.5]]))
         assert path.read_text() == "t_s,a[q0=1],b\n0,2,0.5\n"
+
+    @pytest.mark.parametrize(
+        "header, table",
+        [
+            (["a", "b"], np.zeros((2, 3))),
+            (["a", "b", "c", "d"], np.zeros((2, 3))),
+            (["a"], np.zeros(3)),
+            ([], np.zeros((2, 0))),
+        ],
+    )
+    def test_header_must_fit_the_columns(self, tmp_path, header, table):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="header"):
+            write_wide_csv(path, header, table)
+        assert not path.exists()
+
+
+def _template_csv(header, table):
+    """The bytes of the writer as first written: one '%.17g' template per row."""
+    row_template = ",".join(["%.17g"] * len(header)) + "\n"
+    body = "".join(row_template % tuple(row) for row in table.tolist())
+    return (",".join(header) + "\n" + body).encode()
+
+
+def _ulps_away(value, steps):
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+_csv_values = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.builds(_ulps_away, st.integers(-13, 24).map(lambda k: 10.0**k), st.integers(-3, 3)),
+    st.builds(lambda m, j: m / 2.0**j, st.integers(1, 2**53 - 1), st.integers(1, 80)),
+    st.builds(lambda m, q: m + q, st.integers(10**15, 2**51 - 1), st.sampled_from([0.25, 0.75])),
+    st.integers(10**15, 10**18).map(float),
+    st.builds(
+        lambda s, m, e: s * m * 10.0**e,
+        st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(-12, 22),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv_bytes") / "t.csv"
+
+
+class TestCsvBytes:
+    """write_wide_csv writes exactly what one '%.17g' template per row writes."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        pool=st.lists(_csv_values, min_size=1, max_size=40),
+        shape=st.sampled_from([(1, 1), (7, 1), (1, 7), (300, 1), (1, 9000), (41, 402), (3, 5000)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_template_writer(self, csv_path, pool, shape, seed):
+        picks = np.random.default_rng(seed).integers(0, len(pool), shape)
+        table = np.array(pool)[picks]
+        header = [f"c{j}" for j in range(shape[1])]
+        write_wide_csv(csv_path, header, table)
+        assert csv_path.read_bytes() == _template_csv(header, table)
+
+    def test_powers_of_ten_and_ties(self, tmp_path):
+        """Every double within 3 ulps of 10**k, where log10 can round across the
+        integer, and halfway values whose 18th significant digit is a 5."""
+        near_tens = [_ulps_away(10.0**k, s) for k in range(-14, 25) for s in range(-3, 4)]
+        ties = [10**15 + m + q for m in range(0, 10**15, 10**13 + 7) for q in (0.25, 0.75)]
+        values = np.array(near_tens + ties + [-v for v in near_tens])
+        table = values[: values.size // 7 * 7].reshape(-1, 7)
+        header = [f"c{j}" for j in range(7)]
+        write_wide_csv(tmp_path / "p.csv", header, table)
+        assert (tmp_path / "p.csv").read_bytes() == _template_csv(header, table)
+
+    def test_a_million_random_doubles(self, tmp_path):
+        """Random sign and mantissa bits under binary exponents -40..58, which span the
+        decimal exponents the numpy path formats, and one double in 32 all random."""
+        rng = np.random.default_rng(20241)
+        bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+        exponents = rng.integers(1023 - 40, 1023 + 59, size=bits.size).astype(np.uint64)
+        keep_all = rng.random(bits.size) < 1 / 32
+        bits = np.where(keep_all, bits, (bits & ~np.uint64(0x7FF << 52)) | (exponents << 52))
+        table = bits.view(np.float64).reshape(-1, 400)
+        header = [f"c{j}" for j in range(400)]
+        write_wide_csv(tmp_path / "r.csv", header, table)
+        assert (tmp_path / "r.csv").read_bytes() == _template_csv(header, table)
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        table = 100.0 + np.random.default_rng(3).standard_normal((2000, 402))
+        header = [f"c{j}" for j in range(402)]
+        write_wide_csv(tmp_path / "warm.csv", header, table[:2])
+        tracemalloc.start()
+        try:
+            write_wide_csv(tmp_path / "m.csv", header, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 class TestJsonWriter:
