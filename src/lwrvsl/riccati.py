@@ -22,17 +22,22 @@ an independent numerical oracle for the closed form.
 
 assemble_problem is the one place V and B0 are computed: a run's
 RiccatiProblem designs the gain and is also the linear plant that
-step_linear advances. control_field and integrate_vsl, which run on
-every closed-loop step (integrate_vsl only on the nonlinear plant; the
-linear one integrates all its frames in one call), concatenate nothing
-and write into a buffer their caller owns, so that a run writes each
-step's control and profile into buffers it allocates once.
+step_linear advances. control_field and integrate_vsl concatenate
+nothing and write into a buffer their caller owns. Each is its bind_
+form called once: bind_control_field and bind_integrate_vsl slice their
+arrays into the views the arithmetic reads and return a call with no
+arguments, so that a run, which refreshes the control after every step
+(and the VSL profile too on the nonlinear plant; the linear one
+integrates all its frames in one call), binds the views of its buffers
+once and slices nothing per step.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -119,12 +124,35 @@ def feedback_gain(z: np.ndarray | float, problem: RiccatiProblem) -> np.ndarray 
     return -problem.b0_coef * phi_closed_form(z, problem) / problem.r0
 
 
-def _interface_state(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _control(
+    values: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    gain: np.ndarray | None,
+    out: np.ndarray,
+    interior: np.ndarray,
+) -> np.ndarray:
     # interior interfaces average the adjacent cells; boundary interfaces are one-sided
-    out[0], out[-1] = values[0], values[-1]
-    interior = np.add(values[:-1], values[1:], out[1:-1])
+    out[0] = values.item(0)
+    out[-1] = values.item(-1)
+    np.add(left, right, interior)
     np.multiply(interior, _HALF, interior)
-    return out
+    return out if gain is None else np.multiply(gain, out, out)
+
+
+def bind_control_field(
+    values: np.ndarray, gain: np.ndarray | None, out: np.ndarray
+) -> Callable[[], np.ndarray]:
+    """control_field(values, gain, out) as a call with no arguments, its views bound once.
+
+    Each call reads what values holds then. A gain of None leaves the
+    interface state alone in out.
+    """
+    return partial(_control, values, values[:-1], values[1:], gain, out, out[1:-1])
+
+
+def _interface_state(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return bind_control_field(values, None, out)()
 
 
 def control_field(delta_rho: np.ndarray, gain: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -134,8 +162,7 @@ def control_field(delta_rho: np.ndarray, gain: np.ndarray, out: np.ndarray) -> n
     once. The control is written into out, of size delta_rho.size + 1,
     and out is returned.
     """
-    state = _interface_state(delta_rho, out)
-    return np.multiply(gain, state, state)
+    return bind_control_field(delta_rho, gain, out)()
 
 
 def control_field_explicit(
@@ -159,6 +186,45 @@ def control_field_explicit(
     return root_ratio * (1.0 - e) / (e + 1.0) * state
 
 
+def _integrate(
+    left: np.ndarray,
+    right: np.ndarray,
+    increments: np.ndarray,
+    half_dz: np.ndarray,
+    b0: np.ndarray | float,
+    b_min: np.ndarray | float,
+    b_max: np.ndarray | float,
+    out: np.ndarray,
+) -> np.ndarray:
+    # the increments are written where their running sum goes, and summed in place
+    np.add(left, right, increments)
+    np.multiply(increments, half_dz, increments)
+    np.add.accumulate(increments, -1, None, increments)
+    np.add(increments, b0, increments)
+    return out.clip(b_min, b_max, out=out)
+
+
+def bind_integrate_vsl(
+    u_opt: np.ndarray,
+    b0: np.ndarray | float,
+    grid: Grid1D,
+    clamp: tuple[float, float],
+    out: np.ndarray,
+) -> Callable[[], np.ndarray]:
+    """integrate_vsl(u_opt, b0, grid, clamp, out) as a call with no arguments.
+
+    The views of u_opt and out, and dz / 2 as a 0-d array, are bound
+    once; each call reads what u_opt holds then. The anchor b(0) = b0 is
+    written here: the clamp, which returns the same value when applied
+    again, is all that a call does to it.
+    """
+    out[..., 0] = b0
+    return partial(
+        _integrate, u_opt[..., :-1], u_opt[..., 1:], out[..., 1:], np.array(0.5 * grid.dz),
+        b0, *clamp, out,
+    )
+
+
 def integrate_vsl(
     u_opt: np.ndarray,
     b0: float,
@@ -176,10 +242,4 @@ def integrate_vsl(
     bitwise as its own 1-D call does. The profile is written into out, of
     u_opt's shape and not overlapping it, and out is returned.
     """
-    # the increments are written where their running sum goes, and summed in place
-    increments = np.add(u_opt[..., :-1], u_opt[..., 1:], out[..., 1:])
-    np.multiply(increments, 0.5 * grid.dz, increments)
-    out[..., 0] = 0.0
-    np.add.accumulate(increments, axis=-1, out=increments)
-    np.add(out, b0, out)
-    return out.clip(*clamp, out=out)
+    return bind_integrate_vsl(u_opt, b0, grid, clamp, out)()

@@ -26,11 +26,12 @@ and the frame row each step lands on, if any; the loop evaluates
 upstream_boundary once over each block's start times. Every step writes
 into arrays the run allocates once: it reads one of two ghost-extended
 buffers, whose two ghosts apply_boundary writes, and the stepper writes
-the new state into the cells of the other; control_field and
-integrate_vsl write the control and the VSL profile through their out=
-arguments. A linear step writes only into the run's buffers; a
-free-flow nonlinear one also allocates its fluxes and the temporaries
-of flux. After a step that lands on a frame row the loop copies the
+the new state and the interface fluxes into the cells of the other and
+the run's flux buffer; the control and, on the nonlinear plant, the VSL
+profile are refreshed by bind_control_field and bind_integrate_vsl
+calls, bound once per run to the views of the run's buffers. A linear
+step, and a nonlinear one in free flow, allocate nothing and slice
+nothing. After a step that lands on a frame row the loop copies the
 state and the control into it; after the loop one call each derives
 the absolute density, the VSL frames and the car counts.
 """
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,8 @@ from .params import (
     params_from_paper_units, require_positive,
 )
 from .riccati import (
-    DEFAULT_B_CLAMP, assemble_problem, control_field, feedback_gain, integrate_vsl,
+    DEFAULT_B_CLAMP, assemble_problem, bind_control_field, bind_integrate_vsl, feedback_gain,
+    integrate_vsl,
 )
 from .solvers import (
     Ghosted, SolverError, apply_boundary, ghosted, linear_coefficients, nonlinear_coefficients,
@@ -414,8 +416,9 @@ def run_simulation(
 
     # The one plant choice. The plant's state is rho - base, and its stepper reads the
     # per-run coefficients, which hold its constants and views of the buffers above.
-    # advance(current, target, dt, peak) takes one step, and refresh(state) brings u_opt,
-    # and the profile with it, up to date after a step.
+    # advance(current, target, dt, peak) takes one step, and bind_refresh(state) returns
+    # the call that brings u_opt, and the profile with it, up to date from state after
+    # a step; each of the two buffers has its own, bound once.
     if scenario.model == "linear":
         # the perturbation, stepped with V and B0 of the problem on the control itself:
         # the VSL profiles are integrated only for the frames, after the march
@@ -425,28 +428,35 @@ def run_simulation(
         def advance(current: Ghosted, target: Ghosted, dt: float, peak: float) -> np.ndarray:
             return stepper(grid, current, target.cells, coefficients, dt)
 
-        def refresh(state: np.ndarray) -> None:
-            control_field(state, gain, out=u_opt)
+        def bind_refresh(state: np.ndarray) -> Callable[[], object]:
+            return bind_control_field(state, gain, u_opt)
     else:
         # the absolute density, stepped on the VSL profile of every step's control; the
         # control reads the perturbation rho - rho_0 from a buffer of its own
         base, stepper = 0.0, step_nonlinear
         coefficients = nonlinear_coefficients(p, b_profile, grid, dt_fixed)
         perturbation, rho_0 = np.empty(n), np.array(p.rho_0)
+        control = bind_control_field(perturbation, gain, u_opt)
+        integrate = bind_integrate_vsl(u_opt, b_0, grid, clamp, b_profile)
 
         def advance(current: Ghosted, target: Ghosted, dt: float, peak: float) -> np.ndarray:
             return stepper(grid, current, target.cells, coefficients, dt, peak)
 
-        def refresh(state: np.ndarray) -> None:
-            control_field(np.subtract(state, rho_0, perturbation), gain, out=u_opt)
-            integrate_vsl(u_opt, b_0, grid, clamp, out=b_profile)
+        def bind_refresh(state: np.ndarray) -> Callable[[], object]:
+            def refresh() -> None:
+                np.subtract(state, rho_0, perturbation)
+                control()
+                integrate()
+
+            return refresh
 
     if gain is None:
-        refresh = (lambda state: None)
+        bind_refresh = (lambda state: lambda: None)
 
     np.subtract(initial_condition(grid.cell_centers, scenario), base, current.cells)
     peak = _check_density(current.cells, base, 0.0, scenario)
-    refresh(current.cells)
+    refresh_current, refresh_target = bind_refresh(current.cells), bind_refresh(target.cells)
+    refresh_current()
     density_frames[0] = current.cells
     control_frames[0] = u_opt
     inflow = 0.0
@@ -460,8 +470,9 @@ def run_simulation(
             outflow += dt * fluxes.item(-1)
             peak = _check_density(target.cells, base, t, scenario)
             # the control of the new state drives the next step and, at a frame, is recorded
-            refresh(target.cells)
+            refresh_target()
             current, target = target, current
+            refresh_current, refresh_target = refresh_target, refresh_current
             if row is not None:
                 density_frames[row] = current.cells
                 control_frames[row] = u_opt

@@ -23,19 +23,22 @@ array for the new state and the run's coefficients (its constants and
 views of its control, profile and flux buffers, built once per run by
 linear_coefficients or nonlinear_coefficients) and dt. It leaves the
 buffer unchanged, writes the new state into out, and returns the
-interface fluxes. run_simulation marches two buffers in turn: each step
+interface fluxes in the run's flux buffer, which the next step
+overwrites; a step allocates nothing, bar a nonlinear one above the
+free-flow margin. run_simulation marches two buffers in turn: each step
 reads one and writes into the cells of the other. The steppers raise
 nothing: a caller owns the CFL condition by taking dt from stable_dt,
 and run_simulation checks the density bound after every step. The
-in-place ufunc calls on a step's path (here, and in riccati's
-control_field and integrate_vsl) pass out positionally, which numpy
-parses faster than the keyword, and the scalars they read are 0-d
+in-place ufunc calls on a step's path (here, in fundamental's flux, and
+in riccati's control and VSL bodies) pass out positionally, which numpy
+parses faster than the keyword, and most scalars they read are 0-d
 arrays, which numpy does not convert on every call as it does a Python
 float.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -175,26 +178,29 @@ def godunov_interface_flux(
     rho_right: np.ndarray | float,
     b_interface: np.ndarray | float,
     params: TrafficParams,
+    out: np.ndarray | None = None,
 ) -> np.ndarray | float:
     """Godunov flux for the concave VSL flux: min(demand, supply).
 
     demand is the flux the left state can send (capped at the critical
     density), supply the flux the right state can absorb; one flux call
-    takes both, stacked, and b_interface broadcasts over them.
+    takes both, stacked, and b_interface broadcasts over them. The flux
+    is written into out if given, and returned.
     """
     rho_c = critical_density(params)
     capped = np.array((np.minimum(rho_left, rho_c), np.maximum(rho_right, rho_c)))
     q = flux(capped, b_interface, params)
-    return np.minimum(q[0], q[1])
+    return np.minimum(q[0], q[1], out=out)
 
 
 @dataclass(frozen=True, slots=True)
 class NonlinearCoefficients:
     """What step_nonlinear reads on every step of one run; built by nonlinear_coefficients.
 
-    params and the run's VSL profile buffer b_profile; free_flow_limit =
-    FREE_FLOW_MARGIN * rho_c; dt_fixed, the run's fixed step, with dt_dz
-    = dt_fixed / dz as a 0-d array.
+    params, with the rho_max and u_max that flux reads as 0-d arrays; the
+    run's VSL profile buffer b_profile; free_flow_limit = FREE_FLOW_MARGIN
+    * rho_c; dt_fixed, the run's fixed step, with dt_dz = dt_fixed / dz as
+    a 0-d array; fluxes the run's interface-flux buffer with its halves.
     """
 
     params: TrafficParams
@@ -202,15 +208,23 @@ class NonlinearCoefficients:
     free_flow_limit: float
     dt_fixed: float
     dt_dz: np.ndarray
+    fluxes: np.ndarray
+    flux_left: np.ndarray
+    flux_right: np.ndarray
 
 
 def nonlinear_coefficients(
     params: TrafficParams, b_profile: np.ndarray, grid: Grid1D, dt_fixed: float
 ) -> NonlinearCoefficients:
-    """The nonlinear plant's per-run constants, for the VSL profile buffer b_profile."""
+    """The nonlinear plant's per-run constants and views, for the VSL profile buffer b_profile."""
     limit = FREE_FLOW_MARGIN * critical_density(params)
+    fluxes = np.empty(grid.n_cells + 1)
+    flux_params = dataclasses.replace(
+        params, rho_max=np.array(params.rho_max), u_max=np.array(params.u_max)
+    )
     return NonlinearCoefficients(
-        params, b_profile, limit, dt_fixed, np.array(dt_fixed / grid.dz)
+        flux_params, b_profile, limit, dt_fixed, np.array(dt_fixed / grid.dz),
+        fluxes, fluxes[:-1], fluxes[1:],
     )
 
 
@@ -230,20 +244,21 @@ def step_nonlinear(
     density check finds it. The downstream ghost repeats the last cell, so
     when peak and the upstream ghost are both at most FREE_FLOW_MARGIN *
     rho_c, the flux is evaluated on the left states alone, bitwise equal
-    to the Godunov flux there; above the margin, or on a NaN,
-    godunov_interface_flux runs. The new state is written into out, which
-    must not overlap extended, and the interface fluxes are returned. dt
+    to the Godunov flux there, and allocates nothing; above the margin, or
+    on a NaN, godunov_interface_flux runs. The new state is written into
+    out, which must not overlap extended, and the interface fluxes are
+    returned in the run's flux buffer, which the next step overwrites. dt
     is as for step_linear.
     """
     c = coefficients
     dt_dz = c.dt_dz if dt == c.dt_fixed else dt / grid.dz
     if peak <= c.free_flow_limit and extended.values.item(0) <= c.free_flow_limit:
-        fluxes = flux(extended.left, c.b_profile, c.params)
+        fluxes = flux(extended.left, c.b_profile, c.params, c.fluxes)
     else:
         fluxes = godunov_interface_flux(
-            extended.left, extended.values[1:], c.b_profile, c.params
+            extended.left, extended.values[1:], c.b_profile, c.params, c.fluxes
         )
-    new_values = np.subtract(fluxes[1:], fluxes[:-1], out)
+    new_values = np.subtract(c.flux_right, c.flux_left, out)
     np.multiply(new_values, dt_dz, new_values)
     np.subtract(extended.cells, new_values, new_values)
     return fluxes

@@ -22,6 +22,7 @@ import pytest
 
 import lwrvsl
 import lwrvsl.cli  # run.py resolves names on these submodules too
+import lwrvsl.scenario as scenario_module
 import lwrvsl.verify
 from lwrvsl import reference_scenario, run_simulation
 from lwrvsl.output import write_run_artifacts, write_sweep_artifacts
@@ -109,40 +110,69 @@ def test_sweep_runs_stay_in_the_traced_process(bench, tmp_path):
     assert tracer.op_counters(0)["solvers.cell_updates"] == steps * 16
 
 
+def _counted_refreshes(monkeypatch, bind_name):
+    """Count the calls of each per-run refresh run_simulation binds through bind_name.
+
+    run_simulation binds the control and the VSL integration of its steps once
+    per run (riccati.bind_control_field, bind_integrate_vsl) and calls them with
+    no arguments, past the bench's tracer, which books their time as
+    scenario.run_simulation self time; the frame pass calls integrate_vsl.
+    """
+    calls = []
+    bind = getattr(scenario_module, bind_name)
+
+    def counting_bind(*args):
+        bound = bind(*args)
+
+        def counted():
+            calls.append(1)
+            return bound()
+
+        return counted
+
+    monkeypatch.setattr(scenario_module, bind_name, counting_bind)
+    return calls
+
+
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])
-def test_vsl_integration_count(bench, model):
+def test_vsl_integration_count(bench, monkeypatch, model):
     # the nonlinear stepper reads the VSL profile on every step (one integration
-    # per step and one of the initial state), the linear one never; on both
-    # plants the profiles of the recorded frames are integrated in one call
+    # per step and one of the initial state, through the run's bound integration),
+    # the linear one never; on both plants the profiles of the recorded frames are
+    # integrated in one integrate_vsl call
     targets = bench.layer_targets(lwrvsl)
     traced = ("riccati.integrate_vsl", *bench.STEPPERS)
     tracer = bench.Tracer(
         "lwrvsl", {name: targets[name] for name in traced}, bench.LAYER_COUNTERS
     )
+    integrations = _counted_refreshes(monkeypatch, "bind_integrate_vsl")
     # at 16 cells dt is 1.76 s, so each 4 s frame takes three steps
     scenario = reference_scenario(model=model, n_cells=16, sim_time=8.0)
     history = tracer.run_op(lambda: run_simulation(scenario, 4.0))
     layers = tracer.op_layers(0)
     steps = sum(layers[name][0] for name in bench.STEPPERS)
-    expected = 1 if model == "linear" else steps + 2
     assert len(history.times) == 3
     assert steps == 6
-    assert layers["riccati.integrate_vsl"][0] == expected
+    assert len(integrations) == (0 if model == "linear" else steps + 1)
+    assert layers["riccati.integrate_vsl"][0] == 1
 
 
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])
-def test_closed_loop_call_counts(bench, model):
+def test_closed_loop_call_counts(bench, monkeypatch, model):
     # per nonlinear step one flux evaluation (the stacked demand and supply
     # states), plus one in assemble_problem; per step one apply_boundary, which
-    # writes the ghosts of the buffer the step reads; per run one integrate_vsl
-    # over the controls of its three frames, plus one per nonlinear step and one
+    # writes the ghosts of the buffer the step reads, and one control refresh,
+    # plus one of the initial state; per run one integrate_vsl over the controls
+    # of its three frames, plus one bound integration per nonlinear step and one
     # of the nonlinear initial state
     targets = bench.layer_targets(lwrvsl)
     traced = ("fundamental.flux", "solvers.apply_boundary", "riccati.integrate_vsl",
-              *bench.STEPPERS)
+              "riccati.control_field", *bench.STEPPERS)
     tracer = bench.Tracer(
         "lwrvsl", {name: targets[name] for name in traced}, bench.LAYER_COUNTERS
     )
+    controls = _counted_refreshes(monkeypatch, "bind_control_field")
+    integrations = _counted_refreshes(monkeypatch, "bind_integrate_vsl")
     scenario = reference_scenario(model=model, n_cells=16, sim_time=8.0)
     history = tracer.run_op(lambda: run_simulation(scenario, 4.0))
     layers = tracer.op_layers(0)
@@ -153,7 +183,10 @@ def test_closed_loop_call_counts(bench, model):
     assert calls["fundamental.flux"] == nonlinear_steps + 1
     assert calls["solvers.apply_boundary"] == 6
     assert len(history.times) == 3
-    assert calls["riccati.integrate_vsl"] == (1 if model == "linear" else nonlinear_steps + 2)
+    assert len(controls) == 6 + 1
+    assert calls["riccati.control_field"] == 0
+    assert len(integrations) == (nonlinear_steps + 1 if model == "nonlinear" else 0)
+    assert calls["riccati.integrate_vsl"] == 1
 
 
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])

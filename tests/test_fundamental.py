@@ -1,5 +1,7 @@
 """Fundamental diagram: speeds, fluxes, and characteristic speeds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,48 @@ class TestScalarReturnTypes:
 
     def test_characteristic_speed_returns_float(self):
         assert type(characteristic_speed(0.05, 1.2, PARAMS)) is float
+
+
+# the run's flux constants: rho_max and u_max as 0-d arrays, as nonlinear_coefficients binds
+PARAMS_0D = dataclasses.replace(
+    PARAMS, rho_max=np.array(PARAMS.rho_max), u_max=np.array(PARAMS.u_max)
+)
+
+
+@st.composite
+def _rows(draw, values, size):
+    """An array of the given size whose entries are drawn values, placed at random."""
+    knots = np.array(draw(st.lists(values, min_size=1, max_size=24)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return knots[rng.integers(knots.size, size=size)]
+
+
+class TestOut:
+    """Given out, each relation computes its whole chain there, to the allocating call's bytes."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=401),
+        params=st.sampled_from([PARAMS, PARAMS_0D]),
+        data=st.data(),
+    )
+    def test_out_holds_the_allocating_calls_bytes(self, size, params, data):
+        rho = data.draw(_rows(st.sampled_from([0.0, 0.08, 0.16]) | densities, size))
+        b = data.draw(_rows(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 2.0), size))
+        before = rho.tobytes(), b.tobytes()
+        # the expression as first written, one temporary per operation
+        written = params.u_max * (np.array(1.0) - rho / params.rho_max)
+        cases = [
+            (equilibrium_speed, (rho,), written),
+            (vsl_speed, (rho, b), b * written),
+            (flux, (rho, b), rho * (b * written)),
+        ]
+        for relation, args, expected in cases:
+            allocated = relation(*args, params)
+            out = np.full(size, np.nan)
+            assert relation(*args, params, out) is out
+            assert out.tobytes() == allocated.tobytes() == expected.tobytes()
+        assert (rho.tobytes(), b.tobytes()) == before
 
 
 class TestVslSpeed:

@@ -4,6 +4,7 @@ Also verify's convergence studies, which run the steppers through the driver.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,42 @@ class TestStepNonlinear:
         assert godunov_calls == [1]
         assert fluxes.tobytes() == expected_fluxes.tobytes()
         assert new_values.tobytes() == expected_values.tobytes()
+
+    def test_a_free_flow_step_returns_the_runs_flux_buffer_and_allocates_nothing(self):
+        # the fluxes go into the buffer of the coefficients, which the next step
+        # overwrites; tracemalloc would see any temporary of a 401-value field
+        grid = make_grid(2000.0, 400)
+        values = 0.05 + 0.01 * np.sin(2.0 * np.pi * grid.cell_centers / 2000.0)
+        buffer, out = _buffer(_ghosted(values, 0.052)), np.empty(grid.n_cells)
+        b = np.linspace(0.9, 1.1, grid.n_cells + 1)
+        coefficients = nonlinear_coefficients(PARAMS, b, grid, 0.2)
+        peak = float(values.max())
+        fluxes = step_nonlinear(grid, buffer, out, coefficients, 0.2, peak)
+        assert fluxes is coefficients.fluxes
+        expected_values, expected_fluxes = _godunov_step(grid, buffer.values, b, PARAMS, 0.2)
+        assert fluxes.tobytes() == expected_fluxes.tobytes()
+        assert out.tobytes() == expected_values.tobytes()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                assert step_nonlinear(grid, buffer, out, coefficients, 0.2, peak) is fluxes
+            peak_bytes = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 8 * grid.n_cells, f"{peak_bytes} B traced"
+
+    def test_a_godunov_step_writes_the_runs_flux_buffer_too(self):
+        grid = make_grid(2000.0, 8)
+        extended = _ghosted(np.full(8, 0.05), np.nextafter(FREE_FLOW_LIMIT, 1.0))
+        b = np.linspace(0.5, 1.5, 9)
+        buffer, out = _buffer(extended), np.empty(8)
+        coefficients = nonlinear_coefficients(PARAMS, b, grid, 0.1)
+        fluxes = step_nonlinear(grid, buffer, out, coefficients, 0.1, 0.05)
+        assert fluxes is coefficients.fluxes
+        expected_values, expected_fluxes = _godunov_step(grid, extended, b, PARAMS, 0.1)
+        assert fluxes.tobytes() == expected_fluxes.tobytes()
+        assert out.tobytes() == expected_values.tobytes()
 
     def test_discrete_conservation(self):
         grid = make_grid(2000.0, 40)
