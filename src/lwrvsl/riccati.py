@@ -128,7 +128,7 @@ def _control(
     values: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
-    gain: np.ndarray | None,
+    gain: np.ndarray,
     out: np.ndarray,
     interior: np.ndarray,
 ) -> np.ndarray:
@@ -137,22 +137,17 @@ def _control(
     out[-1] = values.item(-1)
     np.add(left, right, interior)
     np.multiply(interior, _HALF, interior)
-    return out if gain is None else np.multiply(gain, out, out)
+    return np.multiply(gain, out, out)
 
 
 def bind_control_field(
-    values: np.ndarray, gain: np.ndarray | None, out: np.ndarray
+    values: np.ndarray, gain: np.ndarray, out: np.ndarray
 ) -> Callable[[], np.ndarray]:
     """control_field(values, gain, out) as a call with no arguments, its views bound once.
 
-    Each call reads what values holds then. A gain of None leaves the
-    interface state alone in out.
+    Each call reads what values holds then.
     """
     return partial(_control, values, values[:-1], values[1:], gain, out, out[1:-1])
-
-
-def _interface_state(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return bind_control_field(values, None, out)()
 
 
 def control_field(delta_rho: np.ndarray, gain: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -170,11 +165,10 @@ def control_field_explicit(
 ) -> np.ndarray:
     """Per-interface control from the explicit feedback expression.
 
-    Evaluates u_opt = -sqrt(Q0 / R0) (E - 1)/(E + 1) drho directly,
-    without composing feedback_gain with phi_closed_form; kept as a
-    second, independent code path for cross-checking.
+    Evaluates the gain -sqrt(Q0 / R0) (E - 1)/(E + 1) directly, without
+    composing feedback_gain with phi_closed_form, and applies it through
+    control_field; kept as a second, independent gain for cross-checking.
     """
-    state = _interface_state(delta_rho, np.empty(delta_rho.size + 1))
     root_ratio = math.sqrt(problem.q0 / problem.r0)
     e = np.exp(
         2.0
@@ -183,7 +177,8 @@ def control_field_explicit(
         * (grid.interfaces - problem.length)
         / problem.v_coef
     )
-    return root_ratio * (1.0 - e) / (e + 1.0) * state
+    gain = root_ratio * (1.0 - e) / (e + 1.0)
+    return control_field(delta_rho, gain, np.empty(delta_rho.size + 1))
 
 
 def _integrate(

@@ -24,16 +24,16 @@ bound, on Python floats. The run marches one flat list of steps, handed
 out STEP_BLOCK at a time as plain lists of start times, dts, end times
 and the frame row each step lands on, if any; the loop evaluates
 upstream_boundary once over each block's start times. Every step writes
-into arrays the run allocates once: it reads one of two ghost-extended
-buffers, whose two ghosts apply_boundary writes, and the stepper writes
-the new state and the interface fluxes into the cells of the other and
-the run's flux buffer; the control and, on the nonlinear plant, the VSL
-profile are refreshed by bind_control_field and bind_integrate_vsl
-calls, bound once per run to the views of the run's buffers. A linear
-step, and a nonlinear one in free flow, allocate nothing and slice
-nothing. After a step that lands on a frame row the loop copies the
-state and the control into it; after the loop one call each derives
-the absolute density, the VSL frames and the car counts.
+into arrays the run allocates once: apply_boundary writes the two ghosts
+of the run's one ghost-extended buffer, and the stepper writes the
+interface fluxes into the run's flux buffer and the new state into the
+cells of that buffer, in place; the control and, on the nonlinear plant,
+the VSL profile are refreshed by bind_control_field and
+bind_integrate_vsl calls, bound once per run to the views of the run's
+buffers. A linear step, and a nonlinear one in free flow, allocate
+nothing and slice nothing. After a step that lands on a frame row the
+loop copies the state and the control into it; after the loop one call
+each derives the absolute density, the VSL frames and the car counts.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from .riccati import (
     integrate_vsl,
 )
 from .solvers import (
-    Ghosted, SolverError, apply_boundary, ghosted, linear_coefficients, nonlinear_coefficients,
-    stable_dt, step_linear, step_nonlinear,
+    SolverError, apply_boundary, ghosted, linear_coefficients, nonlinear_coefficients, stable_dt,
+    step_linear, step_nonlinear,
 )
 
 MODELS = ("linear", "nonlinear")
@@ -155,12 +155,15 @@ class SimulationHistory:
     density rho in cars/m per cell on both plants. vsl_frames hold the
     dimensionless b and control_frames db/dz, both of shape (frames,
     cells + 1), one column per interface; the writer derives the speed
-    from density and b. inflow_cars and outflow_cars accumulate the
-    time-integrated boundary interface fluxes of the solver. scenario,
-    cfl and frame_interval are the inputs run_simulation was given, so
-    the record alone says which run it holds. The frame matrices and the
-    scenario are left out of the repr, which would otherwise print every
-    cell of every frame.
+    from density and b. Each vsl_frames row is the clamped profile of
+    that row's control: the nonlinear plant steps on it, while the
+    linear plant steps on the unclamped control, so where the clamp
+    binds a linear run's vsl_frames are not the profile it followed.
+    inflow_cars and outflow_cars accumulate the time-integrated boundary
+    interface fluxes of the solver. scenario, cfl and frame_interval are
+    the inputs run_simulation was given, so the record alone says which
+    run it holds. The frame matrices and the scenario are left out of the
+    repr, which would otherwise print every cell of every frame.
     """
 
     times: np.ndarray
@@ -360,8 +363,8 @@ def run_simulation(
     each plant's state shift, stepper and the coefficients that stepper
     reads (see the comments there). Per step: write the ghosts of the
     buffer holding the state, with the boundary value at the step's start,
-    take one explicit step into the other buffer, stop with SolverError if
-    the density left [0, rho_max], and recompute the control from the
+    take one explicit step of that buffer in place, stop with SolverError
+    if the density left [0, rho_max], and recompute the control from the
     new perturbation field (when enabled) for the next step, in buffers
     allocated once per run. The step size, shared by both plants, is
     stable_dt on the worst-case wave speed b_cap * u_max (b_cap being the
@@ -399,10 +402,11 @@ def run_simulation(
     problem = assemble_problem(p, scenario.q0, scenario.r0)
     gain = feedback_gain(grid.interfaces, problem) if scenario.control_enabled else None
 
-    # The run's buffers, each overwritten in place: two ghost-extended states, one read
-    # and the other written by each step, the control and the VSL profile; with control
-    # off the last two stay 0 and b_0. The frame matrices take rows as the march goes.
-    current, target = ghosted(n), ghosted(n)
+    # The run's buffers, each overwritten in place: the ghost-extended state, which each
+    # step updates, the control and the VSL profile; with control off the last two stay
+    # 0 and b_0. The frame matrices take rows as the march goes.
+    state = ghosted(n)
+    values, cells = state.values, state.cells
     u_opt = np.zeros(n + 1)
     b_profile = np.full(n + 1, p.b_0)
     b_0, clamp = np.array(p.b_0), tuple(map(np.array, scenario.clamp))
@@ -416,65 +420,59 @@ def run_simulation(
 
     # The one plant choice. The plant's state is rho - base, and its stepper reads the
     # per-run coefficients, which hold its constants and views of the buffers above.
-    # advance(current, target, dt, peak) takes one step, and bind_refresh(state) returns
-    # the call that brings u_opt, and the profile with it, up to date from state after
-    # a step; each of the two buffers has its own, bound once.
+    # advance(dt, peak) takes one step of state in place, and refresh() brings u_opt, and
+    # the profile with it, up to date from state after a step; with control off it
+    # leaves them be.
+    refresh: Callable[[], object] = lambda: None
     if scenario.model == "linear":
         # the perturbation, stepped with V and B0 of the problem on the control itself:
         # the VSL profiles are integrated only for the frames, after the march
         base, stepper = p.rho_0, step_linear
         coefficients = linear_coefficients(problem, u_opt, grid, dt_fixed)
 
-        def advance(current: Ghosted, target: Ghosted, dt: float, peak: float) -> np.ndarray:
-            return stepper(grid, current, target.cells, coefficients, dt)
+        def advance(dt: float, peak: float) -> np.ndarray:
+            return stepper(grid, state, coefficients, dt)
 
-        def bind_refresh(state: np.ndarray) -> Callable[[], object]:
-            return bind_control_field(state, gain, u_opt)
+        if gain is not None:
+            refresh = bind_control_field(cells, gain, u_opt)
     else:
         # the absolute density, stepped on the VSL profile of every step's control; the
         # control reads the perturbation rho - rho_0 from a buffer of its own
         base, stepper = 0.0, step_nonlinear
         coefficients = nonlinear_coefficients(p, b_profile, grid, dt_fixed)
-        perturbation, rho_0 = np.empty(n), np.array(p.rho_0)
-        control = bind_control_field(perturbation, gain, u_opt)
-        integrate = bind_integrate_vsl(u_opt, b_0, grid, clamp, b_profile)
 
-        def advance(current: Ghosted, target: Ghosted, dt: float, peak: float) -> np.ndarray:
-            return stepper(grid, current, target.cells, coefficients, dt, peak)
+        def advance(dt: float, peak: float) -> np.ndarray:
+            return stepper(grid, state, coefficients, dt, peak)
 
-        def bind_refresh(state: np.ndarray) -> Callable[[], object]:
+        if gain is not None:
+            perturbation, rho_0 = np.empty(n), np.array(p.rho_0)
+            control = bind_control_field(perturbation, gain, u_opt)
+            integrate = bind_integrate_vsl(u_opt, b_0, grid, clamp, b_profile)
+
             def refresh() -> None:
-                np.subtract(state, rho_0, perturbation)
+                np.subtract(cells, rho_0, perturbation)
                 control()
                 integrate()
 
-            return refresh
-
-    if gain is None:
-        bind_refresh = (lambda state: lambda: None)
-
-    np.subtract(initial_condition(grid.cell_centers, scenario), base, current.cells)
-    peak = _check_density(current.cells, base, 0.0, scenario)
-    refresh_current, refresh_target = bind_refresh(current.cells), bind_refresh(target.cells)
-    refresh_current()
-    density_frames[0] = current.cells
+    np.subtract(initial_condition(grid.cell_centers, scenario), base, cells)
+    peak = _check_density(cells, base, 0.0, scenario)
+    refresh()
+    density_frames[0] = cells
     control_frames[0] = u_opt
     inflow = 0.0
     outflow = 0.0
     for starts, dts, ends, rows in _step_blocks(times, dt_fixed):
         ghosts = (upstream_boundary(np.array(starts), scenario) - base).tolist()
         for ghost, dt, t, row in zip(ghosts, dts, ends, rows):
-            apply_boundary(current.values, ghost)
-            fluxes = advance(current, target, dt, peak)
+            apply_boundary(values, ghost)
+            fluxes = advance(dt, peak)
             inflow += dt * fluxes.item(0)
             outflow += dt * fluxes.item(-1)
-            peak = _check_density(target.cells, base, t, scenario)
+            peak = _check_density(cells, base, t, scenario)
             # the control of the new state drives the next step and, at a frame, is recorded
-            refresh_target()
-            current, target = target, current
-            refresh_current, refresh_target = refresh_target, refresh_current
+            refresh()
             if row is not None:
-                density_frames[row] = current.cells
+                density_frames[row] = cells
                 control_frames[row] = u_opt
     # each row's VSL profile is integrated from its control, as the nonlinear march does
     # it bitwise; with control off, zeros integrate to b_0 exactly

@@ -18,19 +18,18 @@ in the same kind: Dirichlet upstream (valid while characteristics enter
 from the left, guaranteed in free flow) and zero-gradient downstream.
 The state lives in a Ghosted buffer of n + 2 values, whose views are
 built once; apply_boundary alone writes that policy, into the two ghosts
-of the buffer in place. A stepper takes the grid, that buffer, an out
-array for the new state and the run's coefficients (its constants and
-views of its control, profile and flux buffers, built once per run by
-linear_coefficients or nonlinear_coefficients) and dt. It leaves the
-buffer unchanged, writes the new state into out, and returns the
-interface fluxes in the run's flux buffer, which the next step
-overwrites; a step allocates nothing, bar a nonlinear one above the
-free-flow margin. run_simulation marches two buffers in turn: each step
-reads one and writes into the cells of the other. The steppers raise
-nothing: a caller owns the CFL condition by taking dt from stable_dt,
-and run_simulation checks the density bound after every step. The
-in-place ufunc calls on a step's path (here, in fundamental's flux, and
-in riccati's control and VSL bodies) pass out positionally, which numpy
+of the buffer in place. A stepper takes the grid, that buffer, the run's
+coefficients (its constants and views of its control, profile, flux and
+scratch buffers, built once per run by linear_coefficients or
+nonlinear_coefficients) and dt. It computes every interface flux from
+the buffer first, then updates the cells in place, and returns the
+fluxes in the run's flux buffer, which the next step overwrites; a step
+allocates nothing, bar a nonlinear one above the free-flow margin.
+run_simulation steps one buffer per run. The steppers raise nothing: a
+caller owns the CFL condition by taking dt from stable_dt, and
+run_simulation checks the density bound after every step. The in-place
+ufunc calls on a step's path (here, in fundamental's flux, and in
+riccati's control and VSL bodies) pass out positionally, which numpy
 parses faster than the keyword, and most scalars they read are 0-d
 arrays, which numpy does not convert on every call as it does a Python
 float.
@@ -75,7 +74,7 @@ class Ghosted(NamedTuple):
 
     values holds the upstream ghost, the n cells and the downstream ghost;
     left is values[:-1], the left state of every interface, and cells is
-    values[1:-1]. ghosted builds one; a march builds two and swaps them.
+    values[1:-1]. ghosted builds one; a run steps its one in place.
     """
 
     values: np.ndarray
@@ -109,7 +108,7 @@ class LinearCoefficients:
     arrays; dt_fixed, the run's fixed step, with dt and dt_dz = dt / dz of
     it as 0-d arrays; u_left and u_right are the halves of the run's control
     buffer, fluxes the run's interface-flux buffer with its halves, and
-    source a scratch array.
+    scratch an array of n values for the flux difference and the source.
     """
 
     neg_v: np.ndarray
@@ -122,7 +121,7 @@ class LinearCoefficients:
     fluxes: np.ndarray
     flux_left: np.ndarray
     flux_right: np.ndarray
-    source: np.ndarray
+    scratch: np.ndarray
 
 
 def linear_coefficients(
@@ -138,24 +137,20 @@ def linear_coefficients(
 
 
 def step_linear(
-    grid: Grid1D,
-    extended: Ghosted,
-    out: np.ndarray,
-    coefficients: LinearCoefficients,
-    dt: float,
+    grid: Grid1D, extended: Ghosted, coefficients: LinearCoefficients, dt: float
 ) -> np.ndarray:
-    """Upwind step of the perturbation transport with the control source.
+    """Upwind step of the perturbation transport with the control source, in place.
 
     The update integrates d(drho)/dt = V d(drho)/dz + B0 u with the
     design model's coefficients V and B0. Transport is rightward (V < 0
     in free flow), so the upwind flux at each interface takes the left
     value; the source uses u averaged from interfaces to cells. No
     conservation statement is made for the perturbation with source. The
-    new state is written into out, which must not overlap extended, and
-    the interface fluxes are returned in the run's flux buffer, which the
-    next step overwrites. A dt equal to coefficients.dt_fixed reads the
-    0-d dt and dt_dz of the coefficients; any other dt is converted here,
-    to the same values.
+    interface fluxes are computed from extended before its cells take the
+    new state, and are returned in the run's flux buffer, which the next
+    step overwrites. A dt equal to coefficients.dt_fixed reads the 0-d dt
+    and dt_dz of the coefficients; any other dt is converted here, to the
+    same values.
     """
     c = coefficients
     if dt == c.dt_fixed:
@@ -163,13 +158,14 @@ def step_linear(
     else:
         dt_dz = dt / grid.dz
     fluxes = np.multiply(c.neg_v, extended.left, c.fluxes)
-    new_values = np.subtract(c.flux_right, c.flux_left, out)
-    np.multiply(new_values, dt_dz, new_values)
-    np.subtract(extended.cells, new_values, new_values)
-    source = np.add(c.u_left, c.u_right, c.source)
-    np.multiply(source, c.half_b0, source)
-    np.multiply(source, dt, source)
-    np.add(new_values, source, new_values)
+    cells, scratch = extended.cells, c.scratch
+    np.subtract(c.flux_right, c.flux_left, scratch)
+    np.multiply(scratch, dt_dz, scratch)
+    np.subtract(cells, scratch, cells)
+    np.add(c.u_left, c.u_right, scratch)
+    np.multiply(scratch, c.half_b0, scratch)
+    np.multiply(scratch, dt, scratch)
+    np.add(cells, scratch, cells)
     return fluxes
 
 
@@ -200,7 +196,8 @@ class NonlinearCoefficients:
     params, with the rho_max and u_max that flux reads as 0-d arrays; the
     run's VSL profile buffer b_profile; free_flow_limit = FREE_FLOW_MARGIN
     * rho_c; dt_fixed, the run's fixed step, with dt_dz = dt_fixed / dz as
-    a 0-d array; fluxes the run's interface-flux buffer with its halves.
+    a 0-d array; fluxes the run's interface-flux buffer with its halves, and
+    scratch an array of n values for the flux difference.
     """
 
     params: TrafficParams
@@ -211,6 +208,7 @@ class NonlinearCoefficients:
     fluxes: np.ndarray
     flux_left: np.ndarray
     flux_right: np.ndarray
+    scratch: np.ndarray
 
 
 def nonlinear_coefficients(
@@ -224,19 +222,18 @@ def nonlinear_coefficients(
     )
     return NonlinearCoefficients(
         flux_params, b_profile, limit, dt_fixed, np.array(dt_fixed / grid.dz),
-        fluxes, fluxes[:-1], fluxes[1:],
+        fluxes, fluxes[:-1], fluxes[1:], np.empty(grid.n_cells),
     )
 
 
 def step_nonlinear(
     grid: Grid1D,
     extended: Ghosted,
-    out: np.ndarray,
     coefficients: NonlinearCoefficients,
     dt: float,
     peak: float,
 ) -> np.ndarray:
-    """Conservative Godunov step of the LWR equation with a VSL profile.
+    """Conservative Godunov step of the LWR equation with a VSL profile, in place.
 
     rho_i <- rho_i - (dt/dz) (F_{i+1/2} - F_{i-1/2}); interior mass
     change therefore equals the boundary flux difference exactly. peak is
@@ -245,8 +242,8 @@ def step_nonlinear(
     when peak and the upstream ghost are both at most FREE_FLOW_MARGIN *
     rho_c, the flux is evaluated on the left states alone, bitwise equal
     to the Godunov flux there, and allocates nothing; above the margin, or
-    on a NaN, godunov_interface_flux runs. The new state is written into
-    out, which must not overlap extended, and the interface fluxes are
+    on a NaN, godunov_interface_flux runs. The interface fluxes are
+    computed from extended before its cells take the new state, and are
     returned in the run's flux buffer, which the next step overwrites. dt
     is as for step_linear.
     """
@@ -258,7 +255,8 @@ def step_nonlinear(
         fluxes = godunov_interface_flux(
             extended.left, extended.values[1:], c.b_profile, c.params, c.fluxes
         )
-    new_values = np.subtract(c.flux_right, c.flux_left, out)
-    np.multiply(new_values, dt_dz, new_values)
-    np.subtract(extended.cells, new_values, new_values)
+    cells, scratch = extended.cells, c.scratch
+    np.subtract(c.flux_right, c.flux_left, scratch)
+    np.multiply(scratch, dt_dz, scratch)
+    np.subtract(cells, scratch, cells)
     return fluxes

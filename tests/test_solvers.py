@@ -60,28 +60,27 @@ def _buffer(extended):
 
 
 def _step_linear(grid, extended, u_opt, dt):
-    """One step_linear call from extended: the new values and the interface fluxes.
+    """One step_linear call on a copy of extended: the new values and the interface fluxes.
 
     The run's fixed step is a different dt, so the stepper computes dt / dz itself.
     """
-    out = np.empty(grid.n_cells)
+    buffer = _buffer(extended)
     coefficients = linear_coefficients(PROBLEM, u_opt, grid, 2.0 * dt)
-    fluxes = step_linear(grid, _buffer(extended), out, coefficients, dt)
-    return out, fluxes.copy()
+    fluxes = step_linear(grid, buffer, coefficients, dt)
+    return buffer.cells, fluxes.copy()
 
 
 def _step_nonlinear(grid, extended, b_profile, dt):
-    """One step_nonlinear call from extended, taken at its fixed step.
+    """One step_nonlinear call on a copy of extended, taken at its fixed step.
 
     The guard's peak is the largest cell, or NaN, as run_simulation's density check
     finds it. Returns the new values and the interface fluxes.
     """
-    out = np.empty(grid.n_cells)
     coefficients = nonlinear_coefficients(PARAMS, b_profile, grid, dt)
     buffer = _buffer(extended)
     peak = float(np.max(buffer.cells))
-    fluxes = step_nonlinear(grid, buffer, out, coefficients, dt, peak)
-    return out, fluxes
+    fluxes = step_nonlinear(grid, buffer, coefficients, dt, peak)
+    return buffer.cells, fluxes
 
 densities = st.floats(min_value=0.0, max_value=0.16, allow_nan=False)
 # the critical density exactly, free-flow and congested cells, and the two ends
@@ -169,15 +168,15 @@ class TestFixedStep:
         dt = 0.9 * grid.dz / (2.0 * PARAMS.u_max)
         results = []
         for dt_fixed in (dt, 2.0 * dt):
-            buffer, out = _buffer(_ghosted(values, 0.052)), np.empty(grid.n_cells)
+            buffer = _buffer(_ghosted(values, 0.052))
             if model == "linear":
                 coefficients = linear_coefficients(PROBLEM, interfaces, grid, dt_fixed)
-                fluxes = step_linear(grid, buffer, out, coefficients, dt)
+                fluxes = step_linear(grid, buffer, coefficients, dt)
             else:
                 b_profile = 1.0 + 1e3 * interfaces
                 coefficients = nonlinear_coefficients(PARAMS, b_profile, grid, dt_fixed)
-                fluxes = step_nonlinear(grid, buffer, out, coefficients, dt, values.max())
-            results.append((out.tobytes(), fluxes.tobytes()))
+                fluxes = step_nonlinear(grid, buffer, coefficients, dt, values.max())
+            results.append((buffer.cells.tobytes(), fluxes.tobytes()))
         assert results[0] == results[1]
 
 
@@ -219,6 +218,36 @@ class TestStepLinear:
         expected = FREE_WAVE * np.concatenate(([0.005], values))
         assert fluxes.shape == (5,)
         assert np.allclose(fluxes, expected, rtol=1e-12, atol=0.0)
+
+    def test_a_step_updates_the_buffer_in_place_and_allocates_nothing(self):
+        # the cells of the buffer take the new state and the fluxes go into the buffer
+        # of the coefficients, which the next step overwrites; tracemalloc would see
+        # any temporary of a 400-value field
+        grid = make_grid(2000.0, 400)
+        values = 0.005 * np.sin(2.0 * np.pi * grid.cell_centers / 2000.0)
+        u = 1e-5 * np.cos(np.pi * grid.interfaces / 2000.0)
+        extended = _ghosted(values, 0.002)
+        buffer = _buffer(extended)
+        coefficients = linear_coefficients(PROBLEM, u, grid, 0.2)
+        fluxes = step_linear(grid, buffer, coefficients, 0.2)
+        assert fluxes is coefficients.fluxes
+        # the step as first written, into a new array from an unchanged one
+        expected_fluxes = -PROBLEM.v_coef * extended[:-1]
+        source = PROBLEM.b0_coef * 0.5 * (u[:-1] + u[1:]) * 0.2
+        expected_values = (
+            extended[1:-1] - (expected_fluxes[1:] - expected_fluxes[:-1]) * (0.2 / grid.dz)
+        ) + source
+        assert fluxes.tobytes() == expected_fluxes.tobytes()
+        assert buffer.cells.tobytes() == expected_values.tobytes()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                assert step_linear(grid, buffer, coefficients, 0.2) is fluxes
+            peak_bytes = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 8 * grid.n_cells, f"{peak_bytes} B traced"
 
     def test_rejects_cfl_violation(self):
         # the linear plant's one wave speed is |V|
@@ -358,20 +387,21 @@ class TestStepNonlinear:
         # overwrites; tracemalloc would see any temporary of a 401-value field
         grid = make_grid(2000.0, 400)
         values = 0.05 + 0.01 * np.sin(2.0 * np.pi * grid.cell_centers / 2000.0)
-        buffer, out = _buffer(_ghosted(values, 0.052)), np.empty(grid.n_cells)
+        extended = _ghosted(values, 0.052)
+        buffer = _buffer(extended)
         b = np.linspace(0.9, 1.1, grid.n_cells + 1)
         coefficients = nonlinear_coefficients(PARAMS, b, grid, 0.2)
         peak = float(values.max())
-        fluxes = step_nonlinear(grid, buffer, out, coefficients, 0.2, peak)
+        fluxes = step_nonlinear(grid, buffer, coefficients, 0.2, peak)
         assert fluxes is coefficients.fluxes
-        expected_values, expected_fluxes = _godunov_step(grid, buffer.values, b, PARAMS, 0.2)
+        expected_values, expected_fluxes = _godunov_step(grid, extended, b, PARAMS, 0.2)
         assert fluxes.tobytes() == expected_fluxes.tobytes()
-        assert out.tobytes() == expected_values.tobytes()
+        assert buffer.cells.tobytes() == expected_values.tobytes()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             for _ in range(10):
-                assert step_nonlinear(grid, buffer, out, coefficients, 0.2, peak) is fluxes
+                assert step_nonlinear(grid, buffer, coefficients, 0.2, peak) is fluxes
             peak_bytes = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -381,13 +411,13 @@ class TestStepNonlinear:
         grid = make_grid(2000.0, 8)
         extended = _ghosted(np.full(8, 0.05), np.nextafter(FREE_FLOW_LIMIT, 1.0))
         b = np.linspace(0.5, 1.5, 9)
-        buffer, out = _buffer(extended), np.empty(8)
+        buffer = _buffer(extended)
         coefficients = nonlinear_coefficients(PARAMS, b, grid, 0.1)
-        fluxes = step_nonlinear(grid, buffer, out, coefficients, 0.1, 0.05)
+        fluxes = step_nonlinear(grid, buffer, coefficients, 0.1, 0.05)
         assert fluxes is coefficients.fluxes
         expected_values, expected_fluxes = _godunov_step(grid, extended, b, PARAMS, 0.1)
         assert fluxes.tobytes() == expected_fluxes.tobytes()
-        assert out.tobytes() == expected_values.tobytes()
+        assert buffer.cells.tobytes() == expected_values.tobytes()
 
     def test_discrete_conservation(self):
         grid = make_grid(2000.0, 40)
@@ -487,8 +517,8 @@ class TestConvergenceStudies:
         original = getattr(scenario_module, stepper)
         monkeypatch.setattr(
             scenario_module, stepper,
-            lambda grid, extended, out, coefficients, dt, *peak: original(
-                grid, extended, out, coefficients, 0.5 * dt, *peak
+            lambda grid, extended, coefficients, dt, *peak: original(
+                grid, extended, coefficients, 0.5 * dt, *peak
             ),
         )
         result = getattr(verify, f"check_convergence_{model}")()
